@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the clustering substrate: the
-//! grid-accelerated vs naive DBSCAN ablation, and DBSCAN vs the
-//! k-means baseline the paper's use-case replaces.
+//! cell-based vs naive DBSCAN ablation, and DBSCAN vs the k-means
+//! baseline the paper's use-case replaces.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use strata_cluster::naive::dbscan_naive;
@@ -34,6 +34,53 @@ fn defect_cloud(n: usize) -> Vec<Point> {
     points
 }
 
+/// A thermal correlation window as the use-case builds it at L = 80:
+/// events on a 1 mm xy lattice over 81 layers at a 0.04 mm pitch, from
+/// defect patches that persist over tens of layers plus scattered
+/// single cells. ε = 1.6 mm spans 40 layers, so a cell of edge ε
+/// would hold a patch node's events over half the window.
+fn thermal_window() -> Vec<Point> {
+    let mut seed = 0x0DDB_1A5E_5BAD_5EEDu64;
+    let mut next = move |bound: u64| {
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        seed % bound
+    };
+    // (x, y, first layer, last layer) of each patch, radius 2 nodes.
+    let patches: Vec<(i64, i64, u64, u64)> = (0..12)
+        .map(|_| {
+            let first = next(70);
+            (
+                next(60) as i64,
+                next(60) as i64,
+                first,
+                first + 10 + next(21),
+            )
+        })
+        .collect();
+    let mut points = Vec::new();
+    for layer in 0..81u64 {
+        let z = layer as f64 * 0.04;
+        for &(cx, cy, first, last) in &patches {
+            if !(first..=last).contains(&layer) {
+                continue;
+            }
+            for dx in -2i64..=2 {
+                for dy in -2i64..=2 {
+                    if dx * dx + dy * dy <= 4 && next(10) < 7 {
+                        points.push(Point::new((cx + dx) as f64, (cy + dy) as f64, z));
+                    }
+                }
+            }
+        }
+        for _ in 0..4 {
+            points.push(Point::new(next(64) as f64, next(64) as f64, z));
+        }
+    }
+    points
+}
+
 fn bench_dbscan_grid_vs_naive(c: &mut Criterion) {
     let mut group = c.benchmark_group("dbscan");
     let params = DbscanParams::new(0.8, 4).unwrap();
@@ -47,6 +94,19 @@ fn bench_dbscan_grid_vs_naive(c: &mut Criterion) {
             b.iter(|| dbscan_naive(pts, &params).len())
         });
     }
+    let points = thermal_window();
+    let params = DbscanParams::new(1.6, 3).unwrap();
+    group.throughput(Throughput::Elements(points.len() as u64));
+    group.bench_with_input(
+        BenchmarkId::new("grid", "thermal_window"),
+        &points,
+        |b, pts| b.iter(|| dbscan(pts, &params).len()),
+    );
+    group.bench_with_input(
+        BenchmarkId::new("naive", "thermal_window"),
+        &points,
+        |b, pts| b.iter(|| dbscan_naive(pts, &params).len()),
+    );
     group.finish();
 }
 

@@ -1,9 +1,8 @@
-//! Grid-accelerated DBSCAN (Ester et al., KDD 1996).
-
-use std::collections::VecDeque;
+//! Exact cell-based DBSCAN (Ester et al., KDD 1996; Gan & Tao,
+//! SIGMOD 2015).
 
 use crate::error::{Error, Result};
-use crate::grid::GridIndex;
+use crate::grid::CellGrid;
 use crate::point::Point;
 
 /// DBSCAN parameters: neighborhood radius ε and the core-point
@@ -52,7 +51,7 @@ pub enum Label {
     /// Not density-reachable from any core point.
     Noise,
     /// Member of the cluster with the given dense id (0, 1, …, in
-    /// discovery order).
+    /// order of each cluster's lowest core point index).
     Cluster(u32),
 }
 
@@ -74,57 +73,148 @@ impl Label {
 /// Runs DBSCAN over `points`, returning one [`Label`] per point (same
 /// order as the input).
 ///
-/// Semantics follow the original algorithm exactly: core points are
-/// those with at least `min_pts` points within ε (themselves
-/// included); clusters are maximal sets of density-connected points;
-/// border points join the cluster of the first core point that
-/// reaches them; the rest is noise. Runtime is O(n · density) thanks
-/// to the uniform grid index.
+/// Core points are those with at least `min_pts` points within ε
+/// (themselves included); clusters are the maximal sets of
+/// density-connected points; the rest is noise. The labelling is
+/// exactly that of the seed-order breadth-first DBSCAN in
+/// [`dbscan_naive`](crate::naive::dbscan_naive):
+///
+/// * cluster ids count up from 0 in order of each cluster's lowest
+///   core point index;
+/// * a border point joins the lowest-id cluster among the core points
+///   within ε of it;
+/// * a point with a non-finite coordinate is noise (while ε² is
+///   finite: it has no neighbour, not even itself).
+///
+/// The work is done per cell of edge just under ε/2 (Gan & Tao,
+/// SIGMOD 2015): a cell of `min_pts` points is all core, other points
+/// count neighbours in the ≤ 5³ adjacent cells up to `min_pts`, and
+/// clusters are union-find components of core cells, two cells being
+/// joined by the first ε-close core pair found between them.
+///
+/// # Panics
+///
+/// If `points.len()` does not fit the `u32` point index.
 pub fn dbscan(points: &[Point], params: &DbscanParams) -> Vec<Label> {
-    let mut labels = vec![None::<Label>; points.len()];
-    if points.is_empty() {
-        return Vec::new();
-    }
-    let grid = GridIndex::build(points, params.eps);
-    let mut next_cluster = 0u32;
-    let mut queue = VecDeque::new();
+    let grid = CellGrid::build(points, params.eps);
+    let eps_sq = params.eps * params.eps;
+    let min_pts = params.min_pts;
+    let within = |p: u32, q: u32| points[p as usize].distance_sq(&points[q as usize]) <= eps_sq;
+    let cells = grid.cells();
 
-    for seed in 0..points.len() {
-        if labels[seed].is_some() {
+    // Core points. A grid cell's points are all within ε of each other.
+    let is_core = |p: u32, c: usize| {
+        let mut count = 0;
+        for n in grid.adjacent(c) {
+            if n == c && grid.in_grid(c) {
+                count += grid.members(c).len();
+            } else if grid.gap_sq(c, n) <= eps_sq {
+                count += grid.members(n).iter().filter(|&&q| within(p, q)).count();
+            }
+            if count >= min_pts {
+                return true;
+            }
+        }
+        false
+    };
+    let mut core = vec![false; points.len()];
+    for c in 0..cells {
+        let members = grid.members(c);
+        let full = grid.in_grid(c) && members.len() >= min_pts;
+        for &p in members {
+            core[p as usize] = full || is_core(p, c);
+        }
+    }
+    let core_in = |c: usize| grid.members(c).iter().filter(|&&p| core[p as usize]);
+    let has_core: Vec<bool> = (0..cells).map(|c| core_in(c).next().is_some()).collect();
+
+    // Clusters: join adjacent core cells holding an ε-close core pair.
+    let mut sets = DisjointSets::new(cells);
+    for a in 0..cells {
+        if !has_core[a] {
             continue;
         }
-        let neighbors = grid.neighbors_of(seed);
-        if neighbors.len() < params.min_pts {
-            labels[seed] = Some(Label::Noise);
-            continue;
+        for b in grid.adjacent(a) {
+            if b <= a || !has_core[b] || grid.gap_sq(a, b) > eps_sq || sets.find(a) == sets.find(b)
+            {
+                continue;
+            }
+            if core_in(a).any(|&p| core_in(b).any(|&q| within(p, q))) {
+                sets.union(a, b);
+            }
         }
-        // `seed` is a core point: grow a new cluster from it.
-        let cluster = Label::Cluster(next_cluster);
-        next_cluster += 1;
-        labels[seed] = Some(cluster);
-        queue.extend(neighbors);
-        while let Some(idx) = queue.pop_front() {
-            let idx = idx as usize;
-            match labels[idx] {
-                Some(Label::Noise) => {
-                    // Border point previously misjudged as noise.
-                    labels[idx] = Some(cluster);
+    }
+
+    // Ids in order of each cluster's lowest core point index.
+    let mut labels = vec![Label::Noise; points.len()];
+    let mut id_of_root = vec![NO_ID; cells];
+    let mut next_id = 0;
+    for (i, label) in labels.iter_mut().enumerate() {
+        if core[i] {
+            let root = sets.find(grid.cell_of(i).expect("a core point has a cell"));
+            if id_of_root[root] == NO_ID {
+                id_of_root[root] = next_id;
+                next_id += 1;
+            }
+            *label = Label::Cluster(id_of_root[root]);
+        }
+    }
+    let id_of_cell: Vec<u32> = (0..cells)
+        .map(|c| {
+            if has_core[c] {
+                id_of_root[sets.find(c)]
+            } else {
+                NO_ID
+            }
+        })
+        .collect();
+
+    // Border points join the lowest adjacent cluster id.
+    for c in 0..cells {
+        for &p in grid.members(c) {
+            if core[p as usize] {
+                continue;
+            }
+            let mut best = NO_ID;
+            for n in grid.adjacent(c) {
+                if id_of_cell[n] < best
+                    && grid.gap_sq(c, n) <= eps_sq
+                    && core_in(n).any(|&q| within(p, q))
+                {
+                    best = id_of_cell[n];
                 }
-                Some(_) => continue,
-                None => {
-                    labels[idx] = Some(cluster);
-                    let reach = grid.neighbors_of(idx);
-                    if reach.len() >= params.min_pts {
-                        queue.extend(reach); // idx is core: expand through it.
-                    }
-                }
+            }
+            if best != NO_ID {
+                labels[p as usize] = Label::Cluster(best);
             }
         }
     }
     labels
-        .into_iter()
-        .map(|l| l.expect("every point labeled"))
-        .collect()
+}
+
+/// No cluster id (ids stay below the point count, itself below `u32::MAX`).
+const NO_ID: u32 = u32::MAX;
+
+/// Union-find over cell ids, with path halving; the smaller root wins.
+struct DisjointSets(Vec<u32>);
+
+impl DisjointSets {
+    fn new(n: usize) -> Self {
+        DisjointSets((0..n as u32).collect())
+    }
+
+    fn find(&mut self, mut x: usize) -> usize {
+        while self.0[x] as usize != x {
+            self.0[x] = self.0[self.0[x] as usize];
+            x = self.0[x] as usize;
+        }
+        x
+    }
+
+    fn union(&mut self, a: usize, b: usize) {
+        let (a, b) = (self.find(a), self.find(b));
+        self.0[a.max(b)] = a.min(b) as u32;
+    }
 }
 
 #[cfg(test)]

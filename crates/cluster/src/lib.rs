@@ -9,10 +9,16 @@
 //!
 //! This crate provides:
 //!
-//! * [`dbscan()`] — grid-accelerated DBSCAN over 3-D points (the grid
-//!   index makes ε-neighborhood queries O(neighbors));
-//! * [`naive`] — the textbook O(n²) DBSCAN, kept as the correctness
-//!   oracle for property tests and as the ablation baseline;
+//! * [`dbscan()`] — exact cell-based DBSCAN over 3-D points: points
+//!   are bucketed into a sorted, flat array of cells of edge just
+//!   under ε/2, a full cell is all core, and clusters are union-find
+//!   components of core cells (Gan & Tao, SIGMOD 2015). Its labels
+//!   equal the naive oracle's: ids in order of each cluster's lowest
+//!   core point index, border points to the lowest adjacent cluster
+//!   id, non-finite points noise;
+//! * [`naive`] — the textbook O(n²) seed-order DBSCAN, kept as the
+//!   correctness oracle for property tests and as the ablation
+//!   baseline;
 //! * [`kmeans()`] — k-means++ (the paper's comparator from prior work
 //!   on pore classification);
 //! * [`layered`] — incremental cross-layer clustering over a sliding
@@ -41,7 +47,7 @@
 
 pub mod dbscan;
 pub mod error;
-pub mod grid;
+mod grid;
 pub mod kmeans;
 pub mod layered;
 pub mod naive;

@@ -1,14 +1,18 @@
 //! Textbook O(n²) DBSCAN: the correctness oracle and ablation
-//! baseline for the grid-accelerated implementation.
+//! baseline for the cell-based implementation.
 
 use std::collections::VecDeque;
 
 use crate::dbscan::{DbscanParams, Label};
 use crate::point::Point;
 
-/// Runs DBSCAN with brute-force ε-neighborhood queries. Semantics are
-/// identical to [`dbscan`](crate::dbscan::dbscan); only the neighbor
-/// search differs (O(n) per query instead of O(local density)).
+/// Runs DBSCAN as a seed-order breadth-first search with brute-force
+/// ε-neighborhood queries (O(n) each). Its labels define the ones
+/// [`dbscan`](crate::dbscan::dbscan) must return exactly: a cluster
+/// is numbered when the seed loop reaches its lowest core point, and
+/// a border point keeps the first, hence lowest-id, cluster whose
+/// search reaches it. A point with a non-finite coordinate fails every
+/// `≤ ε²` test (while ε² is finite), itself included, and is noise.
 pub fn dbscan_naive(points: &[Point], params: &DbscanParams) -> Vec<Label> {
     let eps_sq = params.eps() * params.eps();
     let neighbors_of = |i: usize| -> Vec<u32> {
@@ -62,22 +66,6 @@ mod tests {
     use super::*;
     use crate::dbscan::dbscan;
 
-    /// Cluster labels up to renaming: map each label vector to
-    /// "first-seen index" normal form.
-    fn canonical(labels: &[Label]) -> Vec<i64> {
-        let mut mapping = std::collections::HashMap::new();
-        labels
-            .iter()
-            .map(|l| match l {
-                Label::Noise => -1,
-                Label::Cluster(id) => {
-                    let next = mapping.len() as i64;
-                    *mapping.entry(*id).or_insert(next)
-                }
-            })
-            .collect()
-    }
-
     #[test]
     fn grid_and_naive_agree_on_structured_data() {
         let mut points = Vec::new();
@@ -89,10 +77,7 @@ mod tests {
         }
         points.push(Point::new(100.0, 100.0, 100.0));
         let params = DbscanParams::new(1.0, 3).unwrap();
-        assert_eq!(
-            canonical(&dbscan(&points, &params)),
-            canonical(&dbscan_naive(&points, &params))
-        );
+        assert_eq!(dbscan(&points, &params), dbscan_naive(&points, &params));
     }
 
     #[test]
@@ -110,8 +95,8 @@ mod tests {
                 .collect();
             let params = DbscanParams::new(0.9, 4).unwrap();
             assert_eq!(
-                canonical(&dbscan(&points, &params)),
-                canonical(&dbscan_naive(&points, &params)),
+                dbscan(&points, &params),
+                dbscan_naive(&points, &params),
                 "trial {trial}"
             );
         }

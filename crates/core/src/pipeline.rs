@@ -71,7 +71,8 @@ pub struct CorrelationWindow<'a> {
     /// The just-completed layer that triggered this evaluation.
     pub layer: u32,
     /// Events of layers `[layer − L, layer]`, oldest layer first,
-    /// arrival order within a layer.
+    /// portion order within a layer (arrival order among events of
+    /// one portion), whatever the parallelism upstream.
     pub events: Vec<&'a AmTuple>,
 }
 
@@ -88,7 +89,8 @@ struct Correlate<F> {
 
 #[derive(Default)]
 struct GroupState {
-    /// layer → (layer timestamp, events in arrival order).
+    /// layer → (layer timestamp, events in arrival order until the
+    /// layer is ready, then in portion order).
     layers: BTreeMap<u32, (Timestamp, Vec<AmTuple>)>,
     emitted_up_to: Option<u32>,
 }
@@ -120,6 +122,10 @@ where
                 .map(|(layer, _)| *layer)
                 .collect();
             for layer in ready {
+                // Parallel monitors interleave a layer's events; portion
+                // order makes every window independent of the interleaving.
+                let (_, events) = group.layers.get_mut(&layer).expect("ready layer");
+                events.sort_by_key(|t| t.metadata().portion);
                 let window_start = layer.saturating_sub(self.depth);
                 let (ts, _) = group.layers[&layer];
                 let mut events: Vec<&AmTuple> = Vec::new();

@@ -10,6 +10,7 @@ use std::time::Duration;
 
 use strata::usecase::thermal::{self, ThermalPipelineOptions};
 use strata::{ConnectorMode, ExpertReport, Strata, StrataConfig, Value};
+use strata_amsim::scan::ScanSchedule;
 use strata_amsim::{MachineConfig, PbfLbMachine};
 use strata_net::{BrokerClient, BrokerServer};
 use strata_spe::QueryMetrics;
@@ -209,14 +210,25 @@ fn canonical_report(report: &ExpertReport) -> String {
 /// set, sorted so run-order differences in delivery cannot mask or
 /// fake content differences.
 fn run_thermal_reports(config: StrataConfig, seed: u32) -> Vec<String> {
+    run_thermal_reports_with(config, small_machine(seed), 1)
+}
+
+/// [`run_thermal_reports`] on `machine`, with `parallelism` cell and
+/// monitor workers.
+fn run_thermal_reports_with(
+    config: StrataConfig,
+    machine: Arc<PbfLbMachine>,
+    parallelism: usize,
+) -> Vec<String> {
     let strata = Strata::new(config).unwrap();
     let (running, reports) = thermal::deploy_pipeline(
         &strata,
-        small_machine(seed),
+        machine,
         ThermalPipelineOptions {
             cell_px: 4,
             depth_l: 10,
             layers: 0..8,
+            parallelism,
             ..ThermalPipelineOptions::default()
         },
     )
@@ -256,6 +268,34 @@ fn same_seed_yields_identical_reports_everywhere() {
     );
     server.shutdown();
     assert_eq!(batched, remote, "the TCP connector changed the results");
+}
+
+/// Parallel monitors interleave each layer's events in arrival order;
+/// `correlateEvents` puts them back in portion order, so the reports,
+/// `portion` and `cluster_id` included, match the serial pipeline's.
+/// Dense defects at a constant scan angle give windows of many events,
+/// whose arrival order the two monitors reshuffle from run to run.
+#[test]
+fn parallel_monitors_yield_the_serial_reports() {
+    let machine = Arc::new(
+        PbfLbMachine::new(
+            MachineConfig::paper_build(9)
+                .image_px(400)
+                .timing(40, 5)
+                .schedule(ScanSchedule::new(90.0, 90.0))
+                .defect_rate(30.0),
+        )
+        .unwrap(),
+    );
+    let serial = run_thermal_reports_with(StrataConfig::default(), Arc::clone(&machine), 1);
+    assert!(
+        serial.iter().any(|r| r.contains("cluster_id=")),
+        "the pipeline reported clusters"
+    );
+    for _ in 0..5 {
+        let parallel = run_thermal_reports_with(StrataConfig::default(), Arc::clone(&machine), 2);
+        assert_eq!(serial, parallel, "parallelism 2 changed the reports");
+    }
 }
 
 /// The set of exposed metric families is part of the public surface:
