@@ -13,7 +13,7 @@ use crate::iterator::MergeIterator;
 use crate::memtable::MemTable;
 use crate::metrics::KvMetrics;
 use crate::options::DbOptions;
-use crate::sstable::{SsTable, SsTableWriter};
+use crate::sstable::{self, SsTable, SsTableWriter};
 use crate::wal::{Wal, WalOp};
 
 const WAL_FILE: &str = "wal.log";
@@ -67,18 +67,20 @@ impl Db {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
 
-        // Load SSTables, newest (highest id) first.
-        let mut ids: Vec<u64> = fs::read_dir(&dir)?
-            .filter_map(|e| e.ok())
-            .filter_map(|e| {
-                let path = e.path();
-                if path.extension().is_some_and(|x| x == "sst") {
-                    path.file_stem()?.to_str()?.parse::<u64>().ok()
-                } else {
-                    None
-                }
-            })
-            .collect();
+        // Load SSTables, newest (highest id) first. A leftover
+        // `.sst.tmp` is a table whose flush or compaction died before
+        // its rename; the WAL or the input tables still hold its
+        // entries, so it is deleted.
+        let mut ids: Vec<u64> = Vec::new();
+        for entry in fs::read_dir(&dir)? {
+            let path = entry?.path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if name.ends_with(sstable::TMP_EXTENSION) {
+                fs::remove_file(&path)?;
+            } else if let Some(id) = name.strip_suffix(".sst").and_then(|s| s.parse().ok()) {
+                ids.push(id);
+            }
+        }
         ids.sort_unstable_by(|a, b| b.cmp(a));
         let mut tables = Vec::with_capacity(ids.len());
         for id in &ids {
@@ -368,23 +370,25 @@ impl Db {
         }
         let started = Instant::now();
         let dir = self.inner.dir.as_ref().expect("disk mode checked");
-        let entries = state.memtable.take_entries();
         let id = state.next_table_id;
         state.next_table_id += 1;
         let mut writer = SsTableWriter::create(
             Self::table_path(dir, id),
             self.inner.options.block_bytes_value(),
-            entries.len(),
+            state.memtable.len(),
             self.inner.options.bloom_bits_per_key_value(),
         )?;
-        for (key, value) in &entries {
-            writer.add(key, value.as_deref())?;
+        for (key, value) in state.memtable.iter() {
+            writer.add(key, value)?;
         }
         let table = writer.finish()?;
         // Make the new table's directory entry durable before the WAL
         // holding its contents is retired.
         strata_chaos::fsync_dir(dir)?;
         state.tables.insert(0, Arc::new(table));
+        // Only now is the memtable retired: a failed write above
+        // leaves it serving reads.
+        state.memtable = MemTable::new();
         if let Some(wal) = state.wal.take() {
             wal.remove()?;
             state.wal = Some(Wal::open(

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use strata_chaos::framed::FrameError;
+
 /// A specialized `Result` whose error type is [`Error`].
 pub type Result<T> = std::result::Result<T, Error>;
 
@@ -43,6 +45,16 @@ impl std::error::Error for Error {
 impl From<std::io::Error> for Error {
     fn from(err: std::io::Error) -> Self {
         Error::Io(err)
+    }
+}
+
+impl From<FrameError> for Error {
+    fn from(err: FrameError) -> Self {
+        match err {
+            FrameError::Torn => Error::Corrupt("torn frame".into()),
+            FrameError::Corrupt(msg) => Error::Corrupt(msg),
+            FrameError::Io(err) => Error::Io(err),
+        }
     }
 }
 

@@ -80,12 +80,6 @@ impl MemTable {
             .range((Bound::Included(start.to_vec()), upper))
             .map(|(k, v)| (k.as_slice(), v.as_deref()))
     }
-
-    /// Drains the memtable for a flush, leaving it empty.
-    pub fn take_entries(&mut self) -> BTreeMap<Vec<u8>, Option<Vec<u8>>> {
-        self.approximate_bytes = 0;
-        std::mem::take(&mut self.entries)
-    }
 }
 
 #[cfg(test)]
@@ -128,14 +122,13 @@ mod tests {
     }
 
     #[test]
-    fn size_accounting_grows_and_resets() {
+    fn size_accounting_grows_with_writes() {
         let mut mt = MemTable::new();
         assert_eq!(mt.approximate_bytes(), 0);
         mt.put(b"key", b"value");
-        assert!(mt.approximate_bytes() > 0);
-        let drained = mt.take_entries();
-        assert_eq!(drained.len(), 1);
-        assert!(mt.is_empty());
-        assert_eq!(mt.approximate_bytes(), 0);
+        let after_put = mt.approximate_bytes();
+        assert!(after_put > 0);
+        mt.delete(b"key");
+        assert!(mt.approximate_bytes() > after_put);
     }
 }

@@ -2,24 +2,9 @@
 
 use crate::error::{Error, Result};
 
-/// When the store issues an `fsync` for its write-ahead log.
-///
-/// Durability is exactly what the policy paid for: after a crash, the
-/// WAL replays every operation up to the last successful sync, and
-/// possibly (but not guaranteed) operations after it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SyncPolicy {
-    /// `fsync` after every logged operation. An acknowledged write is
-    /// durable before the call returns.
-    Always,
-    /// `fsync` once every `n` logged operations: at most `n - 1`
-    /// acknowledged writes can be lost to a crash.
-    EveryN(u32),
-    /// Never `fsync` explicitly; the OS writes back on its own
-    /// schedule. Matches the historical behavior and is the default.
-    #[default]
-    Never,
-}
+/// When the store `fsync`s its write-ahead log: the one policy every
+/// framed log in the workspace shares.
+pub use strata_chaos::SyncPolicy;
 
 /// Tuning knobs for a [`Db`](crate::Db), built in builder style.
 ///
@@ -99,8 +84,8 @@ impl DbOptions {
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidConfig`] for zero sizes or a compaction
-    /// trigger below 2.
+    /// [`Error::InvalidConfig`] for zero sizes, a compaction trigger
+    /// below 2, or `SyncPolicy::EveryN(0)`.
     pub fn validate(&self) -> Result<()> {
         if self.memtable_bytes == 0 {
             return Err(Error::InvalidConfig("memtable_bytes must be > 0".into()));
@@ -113,12 +98,7 @@ impl DbOptions {
                 "compaction_trigger must be ≥ 2".into(),
             ));
         }
-        if self.sync == SyncPolicy::EveryN(0) {
-            return Err(Error::InvalidConfig(
-                "SyncPolicy::EveryN requires n > 0".into(),
-            ));
-        }
-        Ok(())
+        self.sync.check().map_err(Error::InvalidConfig)
     }
 
     pub(crate) fn memtable_bytes_value(&self) -> usize {

@@ -25,6 +25,7 @@ use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use parking_lot::Mutex;
+use strata_chaos::framed::crc32;
 use strata_chaos::ChaosFile;
 
 use crate::bloom::BloomFilter;
@@ -33,30 +34,8 @@ use crate::error::{Error, Result};
 const MAGIC: u64 = 0x5354_5241_5441_4B56; // "STRATAKV"
 const FOOTER_LEN: usize = 48;
 
-fn crc32(data: &[u8]) -> u32 {
-    // Same IEEE polynomial as the WAL; see wal.rs.
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ 0xEDB8_8320
-                } else {
-                    crc >> 1
-                };
-            }
-            *entry = crc;
-        }
-        table
-    });
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc = (crc >> 8) ^ table[((crc ^ byte as u32) & 0xFF) as usize];
-    }
-    !crc
-}
+/// Extension of a table still being written (`NNN.sst.tmp`).
+pub const TMP_EXTENSION: &str = "sst.tmp";
 
 /// One sparse-index entry describing a data block.
 #[derive(Debug, Clone)]
@@ -84,7 +63,10 @@ pub struct SsTableWriter {
 }
 
 impl SsTableWriter {
-    /// Creates a writer for a new table at `path`.
+    /// Creates a writer for a new table at `path`. The table is
+    /// written to `path` with a `.sst.tmp` extension and renamed into
+    /// place by [`finish`](Self::finish), so `path` never holds a
+    /// partial table.
     ///
     /// `expected_keys` sizes the bloom filter; `bloom_bits_per_key`
     /// of 0 disables it.
@@ -103,7 +85,8 @@ impl SsTableWriter {
             fs::create_dir_all(parent)?;
         }
         // Failpoints: `kv.sst.write` / `kv.sst.sync`.
-        let file = ChaosFile::new("kv.sst", &path, fs::File::create(&path)?)?;
+        let tmp = path.with_extension(TMP_EXTENSION);
+        let file = ChaosFile::new("kv.sst", &tmp, fs::File::create(&tmp)?)?;
         Ok(SsTableWriter {
             path,
             file,
@@ -181,7 +164,9 @@ impl SsTableWriter {
     }
 
     /// Finishes the table: writes the index, bloom filter and footer,
-    /// flushes, and returns a reader over the new file.
+    /// syncs, renames the file into place, and returns a reader over
+    /// it. The caller `fsync`s the directory to make the rename
+    /// durable.
     ///
     /// # Errors
     ///
@@ -221,7 +206,7 @@ impl SsTableWriter {
         footer.extend_from_slice(&MAGIC.to_le_bytes());
         self.file.write_all(&footer)?;
         self.file.sync_all()?;
-        drop(self.file);
+        fs::rename(self.file.path(), &self.path)?;
         SsTable::open(&self.path)
     }
 }
@@ -573,7 +558,11 @@ mod tests {
         assert!(writer.add(b"a", Some(b"2")).is_err());
         assert!(writer.add(b"b", Some(b"2")).is_err(), "duplicates too");
         drop(writer);
-        fs::remove_file(&path).unwrap();
+        assert!(
+            !path.exists(),
+            "an unfinished table never takes its final name"
+        );
+        fs::remove_file(path.with_extension(TMP_EXTENSION)).unwrap();
     }
 
     #[test]

@@ -5,19 +5,19 @@
 //! the memtable's state. When a memtable is flushed into an SSTable,
 //! its WAL is deleted and a fresh one started.
 //!
-//! Frame format (little-endian):
+//! The WAL is a [`framed`] log; each frame body holds one operation
+//! (little-endian):
 //!
 //! ```text
 //! tag u8 (1 = put, 0 = delete) · key_len u32 · key
 //!                              · [value_len u32 · value]   (puts only)
-//!                              · crc32 u32 over all previous frame bytes
 //! ```
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use strata_chaos::{fsync_dir, ChaosFile};
+use strata_chaos::framed::{self, Appender};
 
 use crate::error::{Error, Result};
 use crate::options::SyncPolicy;
@@ -37,33 +37,6 @@ static TAILS_TRUNCATED: AtomicU64 = AtomicU64::new(0);
 #[must_use]
 pub fn wal_tails_truncated() -> u64 {
     TAILS_TRUNCATED.load(Ordering::Relaxed)
-}
-
-/// Computes the IEEE CRC-32 checksum of `data` (same polynomial as
-/// `strata-pubsub`'s wire format; duplicated here to keep substrate
-/// crates independent).
-fn crc32(data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ 0xEDB8_8320
-                } else {
-                    crc >> 1
-                };
-            }
-            *entry = crc;
-        }
-        table
-    });
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc = (crc >> 8) ^ table[((crc ^ byte as u32) & 0xFF) as usize];
-    }
-    !crc
 }
 
 /// One recovered WAL operation.
@@ -86,12 +59,7 @@ pub enum WalOp {
 /// An append-only write-ahead log file.
 #[derive(Debug)]
 pub struct Wal {
-    path: PathBuf,
-    file: ChaosFile,
-    frame: Vec<u8>,
-    policy: SyncPolicy,
-    /// Operations logged since the last sync (for `EveryN`).
-    unsynced: u32,
+    log: Appender,
 }
 
 impl Wal {
@@ -103,29 +71,9 @@ impl Wal {
     /// # Errors
     ///
     /// I/O failures.
-    pub fn open(path: impl Into<PathBuf>, policy: SyncPolicy) -> Result<Self> {
-        let path = path.into();
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent)?;
-        }
-        let created = !path.exists();
-        let file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)?;
-        if created && policy != SyncPolicy::Never {
-            if let Some(parent) = path.parent() {
-                fsync_dir(parent)?;
-            }
-        }
-        let file = ChaosFile::new(CHAOS_POINT, &path, file)?;
-        Ok(Wal {
-            path,
-            file,
-            frame: Vec::new(),
-            policy,
-            unsynced: 0,
-        })
+    pub fn open(path: impl AsRef<Path>, policy: SyncPolicy) -> Result<Self> {
+        let log = Appender::open(CHAOS_POINT, path.as_ref(), policy)?;
+        Ok(Wal { log })
     }
 
     /// Appends a put and flushes it to the OS.
@@ -134,15 +82,14 @@ impl Wal {
     ///
     /// I/O failures.
     pub fn log_put(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.frame.clear();
-        self.frame.push(TAG_PUT);
-        self.frame
-            .extend_from_slice(&(key.len() as u32).to_le_bytes());
-        self.frame.extend_from_slice(key);
-        self.frame
-            .extend_from_slice(&(value.len() as u32).to_le_bytes());
-        self.frame.extend_from_slice(value);
-        self.finish_frame()
+        self.log.append(|body| {
+            body.push(TAG_PUT);
+            body.extend_from_slice(&(key.len() as u32).to_le_bytes());
+            body.extend_from_slice(key);
+            body.extend_from_slice(&(value.len() as u32).to_le_bytes());
+            body.extend_from_slice(value);
+        })?;
+        Ok(())
     }
 
     /// Appends a deletion and flushes it to the OS.
@@ -151,41 +98,11 @@ impl Wal {
     ///
     /// I/O failures.
     pub fn log_delete(&mut self, key: &[u8]) -> Result<()> {
-        self.frame.clear();
-        self.frame.push(TAG_DELETE);
-        self.frame
-            .extend_from_slice(&(key.len() as u32).to_le_bytes());
-        self.frame.extend_from_slice(key);
-        self.finish_frame()
-    }
-
-    fn finish_frame(&mut self) -> Result<()> {
-        let crc = crc32(&self.frame);
-        self.frame.extend_from_slice(&crc.to_le_bytes());
-        self.file.write_all(&self.frame)?;
-        self.file.flush()?;
-        match self.policy {
-            SyncPolicy::Always => self.sync()?,
-            SyncPolicy::EveryN(n) => {
-                self.unsynced += 1;
-                if self.unsynced >= n {
-                    self.sync()?;
-                }
-            }
-            SyncPolicy::Never => {}
-        }
-        Ok(())
-    }
-
-    /// Forces an `fsync` now, regardless of policy. On return every
-    /// previously logged operation is durable.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures.
-    pub fn sync(&mut self) -> Result<()> {
-        self.file.sync_data()?;
-        self.unsynced = 0;
+        self.log.append(|body| {
+            body.push(TAG_DELETE);
+            body.extend_from_slice(&(key.len() as u32).to_le_bytes());
+            body.extend_from_slice(key);
+        })?;
         Ok(())
     }
 
@@ -196,144 +113,69 @@ impl Wal {
     ///
     /// I/O failures.
     pub fn remove(self) -> Result<()> {
-        fs::remove_file(&self.path)?;
+        fs::remove_file(self.log.path())?;
         Ok(())
-    }
-
-    /// Replays the WAL at `path` without modifying it, returning its
-    /// operations in append order. A torn final frame (crash
-    /// mid-write) is tolerated and ignored; corruption *before* the
-    /// tail is an error.
-    ///
-    /// Returns an empty vector when the file does not exist.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Corrupt`] for mid-log corruption; I/O failures.
-    pub fn replay(path: &Path) -> Result<Vec<WalOp>> {
-        Self::scan(path).map(|(ops, _)| ops)
     }
 
     /// Replays the WAL at `path` *and truncates a torn tail away*, so
     /// that frames appended afterwards decode on the next replay
     /// (appending after torn bytes would strand them unreachable).
-    /// Returns the operations and the number of torn bytes dropped.
+    /// Returns the operations in append order (none when the file does
+    /// not exist) and the number of torn bytes dropped.
     ///
     /// # Errors
     ///
     /// [`Error::Corrupt`] for mid-log corruption; I/O failures.
     pub fn recover(path: &Path) -> Result<(Vec<WalOp>, u64)> {
-        let (ops, valid_len) = Self::scan(path)?;
-        let file_len = match fs::metadata(path) {
-            Ok(meta) => meta.len(),
-            Err(err) if err.kind() == std::io::ErrorKind::NotFound => return Ok((ops, 0)),
-            Err(err) => return Err(err.into()),
-        };
-        let torn = file_len.saturating_sub(valid_len);
-        if torn > 0 {
-            let file = fs::OpenOptions::new().write(true).open(path)?;
-            file.set_len(valid_len)?;
-            file.sync_data()?;
+        let recovered = framed::recover(path, true)?;
+        if recovered.torn > 0 {
             TAILS_TRUNCATED.fetch_add(1, Ordering::Relaxed);
         }
-        Ok((ops, torn))
+        let ops = recovered
+            .bodies()
+            .map(Self::decode_op)
+            .collect::<Result<_>>()?;
+        Ok((ops, recovered.torn))
     }
 
-    /// Decodes the valid frame prefix: the operations and the byte
-    /// length they occupy.
-    fn scan(path: &Path) -> Result<(Vec<WalOp>, u64)> {
-        let data = match fs::read(path) {
-            Ok(data) => data,
-            Err(err) if err.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
-            Err(err) => return Err(err.into()),
-        };
-        let mut ops = Vec::new();
-        let mut pos = 0usize;
-        while pos < data.len() {
-            match Self::decode_op(&data[pos..]) {
-                Ok((op, used)) => {
-                    ops.push(op);
-                    pos += used;
-                }
-                Err(_) if Self::is_torn_tail(&data[pos..]) => break,
-                Err(err) => return Err(err),
-            }
-        }
-        Ok((ops, pos as u64))
-    }
-
-    fn decode_op(data: &[u8]) -> Result<(WalOp, usize)> {
-        let corrupt = |msg: &str| Error::Corrupt(format!("wal: {msg}"));
-        if data.len() < 5 {
-            return Err(corrupt("truncated header"));
-        }
-        let tag = data[0];
-        let key_len = u32::from_le_bytes(data[1..5].try_into().expect("len 4")) as usize;
-        let (body_len, value_range) = match tag {
-            TAG_DELETE => (5 + key_len, None),
+    fn decode_op(body: &[u8]) -> Result<WalOp> {
+        let (key, end) = length_prefixed(body, 1)?;
+        let (op, end) = match body[0] {
+            TAG_DELETE => (WalOp::Delete { key: key.to_vec() }, end),
             TAG_PUT => {
-                if data.len() < 5 + key_len + 4 {
-                    return Err(corrupt("truncated put header"));
-                }
-                let value_len =
-                    u32::from_le_bytes(data[5 + key_len..9 + key_len].try_into().expect("len 4"))
-                        as usize;
-                (
-                    9 + key_len + value_len,
-                    Some(9 + key_len..9 + key_len + value_len),
-                )
+                let (value, end) = length_prefixed(body, end)?;
+                let (key, value) = (key.to_vec(), value.to_vec());
+                (WalOp::Put { key, value }, end)
             }
             other => return Err(corrupt(&format!("unknown tag {other}"))),
         };
-        if data.len() < body_len + 4 {
-            return Err(corrupt("truncated frame"));
+        if end != body.len() {
+            return Err(corrupt("trailing bytes"));
         }
-        let stored_crc =
-            u32::from_le_bytes(data[body_len..body_len + 4].try_into().expect("len 4"));
-        if stored_crc != crc32(&data[..body_len]) {
-            return Err(corrupt("crc mismatch"));
-        }
-        let key = data[5..5 + key_len].to_vec();
-        let op = match value_range {
-            Some(range) => WalOp::Put {
-                key,
-                value: data[range].to_vec(),
-            },
-            None => WalOp::Delete { key },
-        };
-        Ok((op, body_len + 4))
+        Ok(op)
     }
+}
 
-    /// A frame that fails to decode only because the data ran out is
-    /// a torn tail from a crash mid-append — safe to discard.
-    fn is_torn_tail(data: &[u8]) -> bool {
-        if data.len() < 5 {
-            return true;
-        }
-        let tag = data[0];
-        if tag != TAG_PUT && tag != TAG_DELETE {
-            return false;
-        }
-        let key_len = u32::from_le_bytes(data[1..5].try_into().expect("len 4")) as usize;
-        let needed = match tag {
-            TAG_DELETE => 5 + key_len + 4,
-            _ => {
-                if data.len() < 5 + key_len + 4 {
-                    return true;
-                }
-                let value_len =
-                    u32::from_le_bytes(data[5 + key_len..9 + key_len].try_into().expect("len 4"))
-                        as usize;
-                9 + key_len + value_len + 4
-            }
-        };
-        data.len() < needed
-    }
+fn corrupt(msg: &str) -> Error {
+    Error::Corrupt(format!("wal: {msg}"))
+}
+
+/// The `len u32 · bytes` field at `at`, and the position after it.
+fn length_prefixed(body: &[u8], at: usize) -> Result<(&[u8], usize)> {
+    let len = body
+        .get(at..at + 4)
+        .ok_or_else(|| corrupt("truncated length"))?;
+    let end = at + 4 + u32::from_le_bytes(len.try_into().expect("len 4")) as usize;
+    let bytes = body
+        .get(at + 4..end)
+        .ok_or_else(|| corrupt("truncated field"))?;
+    Ok((bytes, end))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn temp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("strata-kv-wal-{tag}-{}", std::process::id()))
@@ -349,7 +191,7 @@ mod tests {
             wal.log_delete(b"a").unwrap();
             wal.log_put(b"b", b"2").unwrap();
         }
-        let ops = Wal::replay(&path).unwrap();
+        let (ops, _) = Wal::recover(&path).unwrap();
         assert_eq!(
             ops,
             vec![
@@ -369,8 +211,9 @@ mod tests {
 
     #[test]
     fn missing_wal_is_empty() {
-        assert!(Wal::replay(Path::new("/nonexistent/wal"))
+        assert!(Wal::recover(Path::new("/nonexistent/wal"))
             .unwrap()
+            .0
             .is_empty());
     }
 
@@ -387,8 +230,9 @@ mod tests {
         let mut data = fs::read(&path).unwrap();
         data.truncate(data.len() - 5);
         fs::write(&path, data).unwrap();
-        let ops = Wal::replay(&path).unwrap();
+        let (ops, torn) = Wal::recover(&path).unwrap();
         assert_eq!(ops.len(), 1);
+        assert!(torn > 0);
         fs::remove_file(&path).unwrap();
     }
 
@@ -404,7 +248,7 @@ mod tests {
         let mut data = fs::read(&path).unwrap();
         data[7] ^= 0xFF; // inside the first frame
         fs::write(&path, data).unwrap();
-        assert!(matches!(Wal::replay(&path), Err(Error::Corrupt(_))));
+        assert!(matches!(Wal::recover(&path), Err(Error::Corrupt(_))));
         fs::remove_file(&path).unwrap();
     }
 
@@ -417,16 +261,15 @@ mod tests {
     fn recovery_at_every_byte_boundary_of_the_final_frame() {
         let path = temp_path("boundary");
         let _ = fs::remove_file(&path);
-        {
+        let prefix_len = {
             let mut wal = Wal::open(&path, SyncPolicy::Always).unwrap();
             wal.log_put(b"alpha", b"1").unwrap();
             wal.log_delete(b"alpha").unwrap();
+            let prefix_len = fs::metadata(&path).unwrap().len() as usize;
             wal.log_put(b"gamma", b"333").unwrap();
-        }
+            prefix_len
+        };
         let full = fs::read(&path).unwrap();
-        // Final frame: tag + key_len + "gamma" + value_len + "333" + crc.
-        let final_frame = 1 + 4 + 5 + 4 + 3 + 4;
-        let prefix_len = full.len() - final_frame;
         for cut in prefix_len..=full.len() {
             fs::write(&path, &full[..cut]).unwrap();
             let (ops, torn) = Wal::recover(&path).unwrap();
@@ -445,7 +288,7 @@ mod tests {
             let mut wal = Wal::open(&path, SyncPolicy::Never).unwrap();
             wal.log_put(b"post", b"crash").unwrap();
             drop(wal);
-            let after = Wal::replay(&path).unwrap();
+            let (after, _) = Wal::recover(&path).unwrap();
             assert_eq!(
                 after.last(),
                 Some(&WalOp::Put {
@@ -455,22 +298,6 @@ mod tests {
                 "append after recovery must be replayable (cut {cut})"
             );
         }
-        fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn every_n_policy_counts_down_to_a_sync() {
-        let path = temp_path("everyn");
-        let _ = fs::remove_file(&path);
-        let mut wal = Wal::open(&path, SyncPolicy::EveryN(3)).unwrap();
-        for i in 0..7u8 {
-            wal.log_put(&[i], b"v").unwrap();
-        }
-        // 7 ops under EveryN(3): synced at ops 3 and 6, one pending.
-        assert_eq!(wal.unsynced, 1);
-        wal.sync().unwrap();
-        assert_eq!(wal.unsynced, 0);
-        drop(wal);
         fs::remove_file(&path).unwrap();
     }
 

@@ -1,22 +1,15 @@
 //! Stream framing: length-prefixed, CRC-checked frames over any
 //! `Read`/`Write` pair (in practice a `TcpStream`).
 //!
-//! The transport reuses the segment-file frame shape of
-//! [`strata_pubsub::wire`]:
-//!
-//! ```text
-//! ┌──────────────┬───────────────┬──────────────┐
-//! │ body_len u32 │ body (…)      │ crc32 u32    │   little-endian
-//! └──────────────┴───────────────┴──────────────┘
-//! ```
-//!
+//! The transport uses the frame format every on-disk log shares
+//! ([`strata_chaos::framed`]: `body_len u32 · body · crc32(body) u32`),
 //! with the body being an encoded [`Request`](crate::protocol::Request)
 //! or [`Response`](crate::protocol::Response) rather than a stored
 //! record. The same CRC-32 routine guards data at rest and in flight.
 
 use std::io::{Read, Write};
 
-use strata_pubsub::checksum::crc32;
+use strata_chaos::framed::{self, crc32};
 
 use crate::error::{NetError, NetResult};
 use crate::protocol::{Request, Response};
@@ -39,9 +32,7 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> NetResult<()> {
         )));
     }
     let mut frame = Vec::with_capacity(body.len() + 8);
-    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    frame.extend_from_slice(body);
-    frame.extend_from_slice(&crc32(body).to_le_bytes());
+    framed::encode(&mut frame, |frame| frame.extend_from_slice(body));
     w.write_all(&frame)?;
     w.flush()?;
     Ok(())

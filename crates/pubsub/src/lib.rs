@@ -41,7 +41,6 @@
 //! ```
 
 pub mod broker;
-pub mod checksum;
 pub mod consumer;
 pub mod error;
 pub mod log;

@@ -3,10 +3,10 @@
 //! Two implementations back a partition:
 //!
 //! * [`MemoryLog`] — records held in memory; fast, lost on drop.
-//! * [`FileLog`] — records framed into segment files (see
-//!   [`wire`]) that roll at a configurable size, with
-//!   crash recovery by re-scanning segments on open and retention by
-//!   deleting whole segments.
+//! * [`FileLog`] — records in segment files (a [`framed`] log each,
+//!   record bodies per [`wire`]) that roll at a configurable size,
+//!   with crash recovery by re-scanning segments on open and
+//!   retention by deleting whole segments.
 
 use std::collections::VecDeque;
 use std::fs;
@@ -14,7 +14,7 @@ use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use strata_chaos::{fsync_dir, ChaosFile};
+use strata_chaos::framed::{self, Appender};
 
 use crate::error::{Error, Result};
 use crate::record::{Record, StoredRecord};
@@ -35,21 +35,9 @@ pub fn segment_tails_truncated() -> u64 {
     TAILS_TRUNCATED.load(Ordering::Relaxed)
 }
 
-/// When a [`FileLog`] issues an `fsync` for appended records.
-///
-/// Same contract as the kv store's policy (duplicated here to keep
-/// substrate crates independent): after a crash, recovery yields every
-/// record up to the last successful sync, and possibly more.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SyncPolicy {
-    /// `fsync` after every append.
-    Always,
-    /// `fsync` once every `n` appends.
-    EveryN(u32),
-    /// Never `fsync` explicitly (historical behavior; the default).
-    #[default]
-    Never,
-}
+/// When a [`FileLog`] `fsync`s appended records: the one policy every
+/// framed log in the workspace shares.
+pub use strata_chaos::SyncPolicy;
 
 /// Which storage backs a topic's partitions.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -218,11 +206,8 @@ pub struct FileLog {
     dir: PathBuf,
     segment_bytes: u64,
     sync: SyncPolicy,
-    /// Appends since the last sync (for `EveryN`).
-    unsynced: u32,
     segments: Vec<Segment>,
-    writer: Option<ChaosFile>,
-    scratch: Vec<u8>,
+    writer: Option<Appender>,
 }
 
 impl FileLog {
@@ -233,9 +218,11 @@ impl FileLog {
     ///
     /// # Errors
     ///
-    /// I/O failures, or [`Error::Corrupt`] if a recovered segment
-    /// fails validation.
+    /// [`Error::InvalidConfig`] for `SyncPolicy::EveryN(0)`; I/O
+    /// failures, or [`Error::Corrupt`] if a recovered segment fails
+    /// validation.
     pub fn open(dir: impl Into<PathBuf>, segment_bytes: u64, sync: SyncPolicy) -> Result<Self> {
+        sync.check().map_err(Error::InvalidConfig)?;
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         let mut segments: Vec<Segment> = Vec::new();
@@ -264,21 +251,9 @@ impl FileLog {
             dir,
             segment_bytes: segment_bytes.max(1),
             sync,
-            unsynced: 0,
             segments,
             writer: None,
-            scratch: Vec::new(),
         })
-    }
-
-    /// A frame that fails to decode only because the file ran out of
-    /// bytes is a torn tail from a crash mid-append — safe to discard.
-    fn is_torn_tail(data: &[u8]) -> bool {
-        if data.len() < 4 {
-            return true;
-        }
-        let body_len = u32::from_le_bytes(data[..4].try_into().expect("len 4")) as usize;
-        data.len() < 4 + body_len + 4
     }
 
     fn recover_segment(path: &Path, is_final: bool) -> Result<Segment> {
@@ -289,61 +264,41 @@ impl FileLog {
         let base_offset: u64 = stem
             .parse()
             .map_err(|_| Error::Corrupt(format!("bad segment name {path:?}")))?;
-        let data = fs::read(path)?;
-        let mut positions = Vec::new();
-        let mut pos = 0u64;
-        let mut expected = base_offset;
-        while (pos as usize) < data.len() {
-            match wire::decode_frame(&data[pos as usize..]) {
-                Ok((stored, used)) => {
-                    if stored.offset != expected {
-                        return Err(Error::Corrupt(format!(
-                            "segment {path:?}: offset {} where {expected} expected",
-                            stored.offset
-                        )));
-                    }
-                    positions.push(pos);
-                    pos += used as u64;
-                    expected += 1;
-                }
-                // Only the final segment can legitimately end mid-frame
-                // (the crash happened while appending to it); a complete
-                // frame that fails its checksum is real corruption.
-                Err(_) if is_final && Self::is_torn_tail(&data[pos as usize..]) => {
-                    let file = fs::OpenOptions::new().write(true).open(path)?;
-                    file.set_len(pos)?;
-                    file.sync_data()?;
-                    TAILS_TRUNCATED.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                Err(err) => return Err(err),
+        // Only the final segment can legitimately end mid-frame (the
+        // crash happened while appending to it).
+        let recovered = framed::recover(path, is_final)?;
+        if recovered.torn > 0 {
+            TAILS_TRUNCATED.fetch_add(1, Ordering::Relaxed);
+        }
+        let mut positions = Vec::with_capacity(recovered.frames.len());
+        for (frame, body) in recovered.frames.iter().zip(recovered.bodies()) {
+            let expected = base_offset + positions.len() as u64;
+            let stored = wire::decode_body(body)?;
+            if stored.offset != expected {
+                return Err(Error::Corrupt(format!(
+                    "segment {path:?}: offset {} where {expected} expected",
+                    stored.offset
+                )));
             }
+            positions.push(frame.start as u64);
         }
         Ok(Segment {
             base_offset,
             path: path.to_path_buf(),
             positions,
-            bytes: pos,
+            bytes: recovered.data.len() as u64,
         })
     }
 
     fn roll_segment(&mut self, base_offset: u64) -> Result<()> {
         let path = self.dir.join(Segment::file_name(base_offset));
-        let file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)?;
-        if self.sync != SyncPolicy::Never {
-            // Make the new segment's directory entry durable.
-            fsync_dir(&self.dir)?;
-        }
+        self.writer = Some(Appender::open(CHAOS_POINT, &path, self.sync)?);
         self.segments.push(Segment {
             base_offset,
-            path: path.clone(),
+            path,
             positions: Vec::new(),
             bytes: 0,
         });
-        self.writer = Some(ChaosFile::new(CHAOS_POINT, path, file)?);
         Ok(())
     }
 
@@ -357,17 +312,14 @@ impl FileLog {
     /// final segment while it has room (so recovery does not strand
     /// partially filled segments), rolling a fresh one otherwise.
     fn ensure_writer(&mut self) -> Result<()> {
-        if self.writer.is_some() && !self.active_is_full() {
-            return Ok(());
+        if self.active_is_full() {
+            return self.roll_segment(self.end_offset());
         }
-        if self.writer.is_none() && !self.active_is_full() {
+        if self.writer.is_none() {
             let last = self.segments.last().expect("non-full implies a segment");
-            let file = fs::OpenOptions::new().append(true).open(&last.path)?;
-            self.writer = Some(ChaosFile::new(CHAOS_POINT, last.path.clone(), file)?);
-            return Ok(());
+            self.writer = Some(Appender::open(CHAOS_POINT, &last.path, self.sync)?);
         }
-        let next = self.end_offset();
-        self.roll_segment(next)
+        Ok(())
     }
 
     fn segment_for(&self, offset: u64) -> Option<&Segment> {
@@ -387,25 +339,11 @@ impl PartitionLog for FileLog {
         self.ensure_writer()?;
         let offset = self.end_offset();
         let stored = StoredRecord { offset, record };
-        self.scratch.clear();
-        wire::encode_frame(&stored, &mut self.scratch);
         let writer = self.writer.as_mut().expect("writer ensured above");
-        writer.write_all(&self.scratch)?;
-        writer.flush()?;
-        match self.sync {
-            SyncPolicy::Always => writer.sync_data()?,
-            SyncPolicy::EveryN(n) => {
-                self.unsynced += 1;
-                if self.unsynced >= n.max(1) {
-                    writer.sync_data()?;
-                    self.unsynced = 0;
-                }
-            }
-            SyncPolicy::Never => {}
-        }
+        let len = writer.append(|buf| wire::encode_body(&stored, buf))?;
         let segment = self.segments.last_mut().expect("segment ensured above");
         segment.positions.push(segment.bytes);
-        segment.bytes += self.scratch.len() as u64;
+        segment.bytes += len as u64;
         Ok(offset)
     }
 
@@ -510,6 +448,23 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         check_log_contract(&mut FileLog::open(&dir, 256, SyncPolicy::Never).unwrap());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `EveryN(0)` names no sync schedule: every store refuses it,
+    /// as `DbOptions::validate` does.
+    #[test]
+    fn every_zero_sync_policy_is_rejected() {
+        let dir = std::env::temp_dir().join(format!("strata-pubsub-t7-{}", std::process::id()));
+        let zero = SyncPolicy::EveryN(0);
+        assert!(matches!(
+            FileLog::open(&dir, 64, zero),
+            Err(Error::InvalidConfig(_))
+        ));
+        assert!(matches!(
+            crate::OffsetStore::open(dir.join("offsets.log"), zero),
+            Err(Error::InvalidConfig(_))
+        ));
+        assert!(!dir.exists(), "a rejected policy creates nothing");
     }
 
     #[test]

@@ -2,30 +2,27 @@
 //!
 //! The broker's group offsets are plain in-memory state; an
 //! [`OffsetStore`] write-through makes them survive a broker restart,
-//! the way Kafka's `__consumer_offsets` topic does. The store is an
-//! append-only log of commit frames:
+//! the way Kafka's `__consumer_offsets` topic does. The store is a
+//! [`framed`] log of commit frames, each body (little-endian):
 //!
 //! ```text
-//! ┌──────────────┬───────────────┬──────────────┐
-//! │ body_len u32 │ body (…)      │ crc32 u32    │   little-endian
-//! └──────────────┴───────────────┴──────────────┘
 //! body := group_len u16 · group · topic_len u16 · topic
 //!       · partition u32 · offset u64
 //! ```
 //!
 //! The last frame for a `(group, topic, partition)` wins. Recovery
-//! follows the same tail rule as the WAL and segment files: a torn
-//! final frame is truncated away, corruption before the tail is an
-//! error. When the log grows well past the number of live entries it
-//! is compacted by rewriting and atomically renaming.
+//! follows the shared tail rule: a torn final frame is truncated
+//! away, corruption before the tail is an error. When the log grows
+//! well past the number of live entries it is compacted by rewriting
+//! and atomically renaming.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
 
+use strata_chaos::framed::{self, Appender};
 use strata_chaos::{fsync_dir, ChaosFile};
 
-use crate::checksum::crc32;
 use crate::error::{Error, Result};
 use crate::log::SyncPolicy;
 use crate::wire::Reader;
@@ -43,13 +40,11 @@ type Key = (String, String, u32);
 #[derive(Debug)]
 pub struct OffsetStore {
     path: PathBuf,
-    file: ChaosFile,
+    log: Appender,
     policy: SyncPolicy,
-    unsynced: u32,
     /// Frames currently in the file (live + superseded).
     frames: u64,
     live: BTreeMap<Key, u64>,
-    scratch: Vec<u8>,
 }
 
 impl OffsetStore {
@@ -58,81 +53,26 @@ impl OffsetStore {
     ///
     /// # Errors
     ///
+    /// [`Error::InvalidConfig`] for `SyncPolicy::EveryN(0)`;
     /// [`Error::Corrupt`] for mid-log corruption; I/O failures.
     pub fn open(path: impl Into<PathBuf>, policy: SyncPolicy) -> Result<Self> {
+        policy.check().map_err(Error::InvalidConfig)?;
         let path = path.into();
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent)?;
-        }
-        let data = match fs::read(&path) {
-            Ok(data) => data,
-            Err(err) if err.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(err) => return Err(err.into()),
-        };
-        let (live, frames, valid_len) = Self::scan(&data)?;
-        let created = !path.exists();
-        let file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)?;
-        if valid_len < data.len() as u64 {
-            file.set_len(valid_len)?;
-            file.sync_data()?;
-        }
-        if created && policy != SyncPolicy::Never {
-            if let Some(parent) = path.parent() {
-                fsync_dir(parent)?;
-            }
-        }
-        let file = ChaosFile::new(CHAOS_POINT, &path, file)?;
+        let recovered = framed::recover(&path, true)?;
+        let live = recovered
+            .bodies()
+            .map(Self::decode_body)
+            .collect::<Result<BTreeMap<_, _>>>()?;
         Ok(OffsetStore {
+            log: Appender::open(CHAOS_POINT, &path, policy)?,
             path,
-            file,
             policy,
-            unsynced: 0,
-            frames,
+            frames: recovered.frames.len() as u64,
             live,
-            scratch: Vec::new(),
         })
     }
 
-    fn scan(data: &[u8]) -> Result<(BTreeMap<Key, u64>, u64, u64)> {
-        let mut live = BTreeMap::new();
-        let mut frames = 0u64;
-        let mut pos = 0usize;
-        while pos < data.len() {
-            match Self::decode_frame(&data[pos..]) {
-                Ok((key, offset, used)) => {
-                    live.insert(key, offset);
-                    frames += 1;
-                    pos += used;
-                }
-                Err(_) if Self::is_torn_tail(&data[pos..]) => break,
-                Err(err) => return Err(err),
-            }
-        }
-        Ok((live, frames, pos as u64))
-    }
-
-    fn is_torn_tail(data: &[u8]) -> bool {
-        if data.len() < 4 {
-            return true;
-        }
-        let body_len = u32::from_le_bytes(data[..4].try_into().expect("len 4")) as usize;
-        data.len() < 4 + body_len + 4
-    }
-
-    fn decode_frame(data: &[u8]) -> Result<(Key, u64, usize)> {
-        let mut outer = Reader::new(data);
-        let body_len = outer.u32()? as usize;
-        let body = outer.bytes(body_len)?;
-        let stored_crc = outer.u32()?;
-        let actual_crc = crc32(body);
-        if stored_crc != actual_crc {
-            return Err(Error::Corrupt(format!(
-                "offset store: crc mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
-            )));
-        }
+    fn decode_body(body: &[u8]) -> Result<(Key, u64)> {
         let mut r = Reader::new(body);
         let group_len = r.u16()? as usize;
         let group = std::str::from_utf8(r.bytes(group_len)?)
@@ -150,23 +90,16 @@ impl OffsetStore {
                 r.remaining()
             )));
         }
-        Ok(((group, topic, partition), offset, 4 + body_len + 4))
+        Ok(((group, topic, partition), offset))
     }
 
-    fn encode_frame(buf: &mut Vec<u8>, group: &str, topic: &str, partition: u32, offset: u64) {
-        let start = buf.len();
-        buf.extend_from_slice(&0u32.to_le_bytes()); // body_len placeholder
-        let body_start = buf.len();
+    fn encode_body(buf: &mut Vec<u8>, group: &str, topic: &str, partition: u32, offset: u64) {
         buf.extend_from_slice(&(group.len() as u16).to_le_bytes());
         buf.extend_from_slice(group.as_bytes());
         buf.extend_from_slice(&(topic.len() as u16).to_le_bytes());
         buf.extend_from_slice(topic.as_bytes());
         buf.extend_from_slice(&partition.to_le_bytes());
         buf.extend_from_slice(&offset.to_le_bytes());
-        let body_len = (buf.len() - body_start) as u32;
-        buf[start..start + 4].copy_from_slice(&body_len.to_le_bytes());
-        let crc = crc32(&buf[body_start..]);
-        buf.extend_from_slice(&crc.to_le_bytes());
     }
 
     /// The stored offset of `(group, topic, partition)`, if any.
@@ -203,21 +136,8 @@ impl OffsetStore {
     /// I/O failures. The in-memory view is only updated once the
     /// append succeeded.
     pub fn record(&mut self, group: &str, topic: &str, partition: u32, offset: u64) -> Result<()> {
-        self.scratch.clear();
-        Self::encode_frame(&mut self.scratch, group, topic, partition, offset);
-        self.file.write_all(&self.scratch)?;
-        self.file.flush()?;
-        match self.policy {
-            SyncPolicy::Always => self.file.sync_data()?,
-            SyncPolicy::EveryN(n) => {
-                self.unsynced += 1;
-                if self.unsynced >= n.max(1) {
-                    self.file.sync_data()?;
-                    self.unsynced = 0;
-                }
-            }
-            SyncPolicy::Never => {}
-        }
+        self.log
+            .append(|buf| Self::encode_body(buf, group, topic, partition, offset))?;
         self.frames += 1;
         self.live
             .insert((group.to_string(), topic.to_string(), partition), offset);
@@ -241,7 +161,9 @@ impl OffsetStore {
             let mut out = ChaosFile::new(CHAOS_POINT, &tmp, file)?;
             let mut buf = Vec::new();
             for ((group, topic, partition), offset) in &self.live {
-                Self::encode_frame(&mut buf, group, topic, *partition, *offset);
+                framed::encode(&mut buf, |buf| {
+                    Self::encode_body(buf, group, topic, *partition, *offset);
+                });
             }
             out.write_all(&buf)?;
             out.sync_all()?;
@@ -250,10 +172,8 @@ impl OffsetStore {
         if let Some(parent) = self.path.parent() {
             fsync_dir(parent)?;
         }
-        let file = fs::OpenOptions::new().append(true).open(&self.path)?;
-        self.file = ChaosFile::new(CHAOS_POINT, &self.path, file)?;
+        self.log = Appender::open(CHAOS_POINT, &self.path, self.policy)?;
         self.frames = self.live.len() as u64;
-        self.unsynced = 0;
         Ok(())
     }
 }

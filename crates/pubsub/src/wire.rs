@@ -1,30 +1,26 @@
-//! On-disk framing for file-backed partition logs.
+//! Record bodies for file-backed partition logs.
 //!
-//! A segment file is a sequence of frames, each holding one record:
+//! A segment file is a [`framed`] log holding one record per frame;
+//! the frame body is (little-endian):
 //!
 //! ```text
-//! ┌──────────────┬───────────────┬──────────────┐
-//! │ body_len u32 │ body (…)      │ crc32 u32    │   little-endian
-//! └──────────────┴───────────────┴──────────────┘
 //! body := offset u64 · timestamp u64
 //!       · key_len u32 (u32::MAX = none) · key bytes
 //!       · value_len u32 · value bytes
 //!       · header_count u16 · (name_len u16 · name · value_len u32 · value)*
 //! ```
 //!
-//! The CRC-32 (IEEE 802.3 polynomial) covers the body only; a frame
-//! failing the checksum or the framing invariants is reported as
-//! [`Error::Corrupt`].
+//! A frame failing the checksum or the body invariants is reported
+//! as [`Error::Corrupt`].
 
 use bytes::Bytes;
+use strata_chaos::framed;
 
 use crate::error::{Error, Result};
 use crate::record::{Record, StoredRecord};
 
 /// Marker for "no key" in the key-length field.
 const NO_KEY: u32 = u32::MAX;
-
-pub use crate::checksum::crc32;
 
 fn put_u16(buf: &mut Vec<u8>, v: u16) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -92,9 +88,11 @@ impl<'a> Reader<'a> {
 /// Encodes one stored record into a framed byte buffer (appended to
 /// `buf`). Returns the number of bytes written.
 pub fn encode_frame(stored: &StoredRecord, buf: &mut Vec<u8>) -> usize {
-    let start = buf.len();
-    put_u32(buf, 0); // body_len placeholder
-    let body_start = buf.len();
+    framed::encode(buf, |buf| encode_body(stored, buf))
+}
+
+/// Appends the frame body of `stored` to `buf`.
+pub(crate) fn encode_body(stored: &StoredRecord, buf: &mut Vec<u8>) {
     put_u64(buf, stored.offset);
     put_u64(buf, stored.record.timestamp_millis);
     match &stored.record.key {
@@ -113,11 +111,6 @@ pub fn encode_frame(stored: &StoredRecord, buf: &mut Vec<u8>) -> usize {
         put_u32(buf, value.len() as u32);
         buf.extend_from_slice(value);
     }
-    let body_len = (buf.len() - body_start) as u32;
-    buf[start..start + 4].copy_from_slice(&body_len.to_le_bytes());
-    let crc = crc32(&buf[body_start..]);
-    put_u32(buf, crc);
-    buf.len() - start
 }
 
 /// Decodes one frame from the front of `data`.
@@ -130,16 +123,12 @@ pub fn encode_frame(stored: &StoredRecord, buf: &mut Vec<u8>) -> usize {
 /// [`Error::Corrupt`] on truncation, checksum mismatch, or invalid
 /// UTF-8 in a header name.
 pub fn decode_frame(data: &[u8]) -> Result<(StoredRecord, usize)> {
-    let mut outer = Reader::new(data);
-    let body_len = outer.u32()? as usize;
-    let body = outer.bytes(body_len)?;
-    let stored_crc = outer.u32()?;
-    let actual_crc = crc32(body);
-    if stored_crc != actual_crc {
-        return Err(Error::Corrupt(format!(
-            "crc mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
-        )));
-    }
+    let (body, len) = framed::decode(data)?;
+    Ok((decode_body(body)?, len))
+}
+
+/// Decodes one frame body.
+pub(crate) fn decode_body(body: &[u8]) -> Result<StoredRecord> {
     let mut r = Reader::new(body);
     let offset = r.u64()?;
     let timestamp_millis = r.u64()?;
@@ -168,18 +157,15 @@ pub fn decode_frame(data: &[u8]) -> Result<(StoredRecord, usize)> {
             r.remaining()
         )));
     }
-    Ok((
-        StoredRecord {
-            offset,
-            record: Record {
-                key,
-                value,
-                timestamp_millis,
-                headers,
-            },
+    Ok(StoredRecord {
+        offset,
+        record: Record {
+            key,
+            value,
+            timestamp_millis,
+            headers,
         },
-        4 + body_len + 4,
-    ))
+    })
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! Crash-safety under deterministic fault injection (`strata-chaos`).
 //!
 //! Kill-and-reopen loops over the durable substrates: the kv WAL is
-//! torn mid-append and power-lossed, pub/sub segment appends are torn,
+//! torn mid-append and power-lossed, kv SSTable writes are torn
+//! mid-flush and mid-compaction, pub/sub segment appends are torn,
 //! the committed-offset store loses its fsync, and a broker server's
 //! connections are severed at exact byte boundaries. In every case the
 //! invariants are the same — no acknowledged write is lost, stores
@@ -94,6 +95,81 @@ fn kv_acked_writes_survive_torn_wal_crash_loops() {
         assert_eq!(db.get(k).unwrap().as_deref(), Some(v.as_bytes()));
     }
     drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A torn SSTable write must neither lose the memtable in-process nor
+/// brick the store: the table is written as `NNN.sst.tmp` and renamed
+/// only once complete, the memtable is retired only after that, and
+/// reopen deletes the leftover. Tears the first table write of a
+/// flush, then of a compaction; after each, every acked put reads
+/// back in-process and after a power loss and reopen.
+#[test]
+fn kv_torn_sstable_write_keeps_every_acked_put() {
+    if !strata_chaos::is_compiled() {
+        return;
+    }
+    let dir = temp_dir("kv-sst");
+    let _ = std::fs::remove_dir_all(&dir);
+    let options = || DbOptions::default().sync_policy(KvSync::Always);
+    let torn = Fault::Torn {
+        keep: 10,
+        kind: ErrorKind::Other,
+    };
+    let s = Scenario::setup();
+    let mut acked: BTreeMap<String, String> = BTreeMap::new();
+    let check = |db: &Db, acked: &BTreeMap<String, String>, when: &str| {
+        for (k, v) in acked {
+            assert_eq!(
+                db.get(k).unwrap().as_deref(),
+                Some(v.as_bytes()),
+                "acked key {k} unreadable {when}"
+            );
+        }
+    };
+    let put_batch = |db: &Db, batch: u32, acked: &mut BTreeMap<String, String>| {
+        for i in 0..10 {
+            let (k, v) = (format!("k{batch}{i:02}"), format!("v{batch}{i:02}"));
+            db.put(&k, &v).unwrap();
+            acked.insert(k, v);
+        }
+    };
+
+    // A torn flush.
+    let db = Db::open(&dir, options()).unwrap();
+    put_batch(&db, 0, &mut acked);
+    s.fail_nth("kv.sst.write", 1, torn.clone());
+    assert!(db.flush().is_err(), "the torn flush must fail");
+    check(&db, &acked, "in-process after a failed flush");
+    drop(db);
+    simulate_crash(&dir.join("wal.log")).unwrap();
+    let db = Db::open(&dir, options()).expect("store reopens after a torn flush");
+    check(&db, &acked, "after reopening from a torn flush");
+
+    // A torn compaction over two good tables.
+    db.flush().unwrap();
+    put_batch(&db, 1, &mut acked);
+    db.flush().unwrap();
+    put_batch(&db, 2, &mut acked);
+    s.fail_nth("kv.sst.write", 1, torn);
+    assert!(db.compact().is_err(), "the torn compaction must fail");
+    check(&db, &acked, "in-process after a failed compaction");
+    drop(db);
+    simulate_crash(&dir.join("wal.log")).unwrap();
+    let db = Db::open(&dir, options()).expect("store reopens after a torn compaction");
+    check(&db, &acked, "after reopening from a torn compaction");
+    assert_eq!(fired("kv.sst.write"), 2);
+    let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .filter(|name| name.to_string_lossy().ends_with(".tmp"))
+        .collect();
+    assert!(
+        leftovers.is_empty(),
+        "reopen deletes torn tables: {leftovers:?}"
+    );
+    drop(db);
+    drop(s);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
