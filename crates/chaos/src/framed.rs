@@ -277,6 +277,20 @@ impl Appender {
         Ok(len)
     }
 
+    /// Syncs the appends an [`SyncPolicy::EveryN`] countdown has left
+    /// unsynced, if any. Call it before abandoning the file for a
+    /// successor, or those acknowledged appends stay volatile.
+    ///
+    /// # Errors
+    ///
+    /// Injected faults and real I/O failures.
+    pub fn sync_pending(&mut self) -> io::Result<()> {
+        if self.unsynced > 0 {
+            self.sync()?;
+        }
+        Ok(())
+    }
+
     /// Forces an `fsync` now, regardless of policy.
     ///
     /// # Errors

@@ -7,15 +7,74 @@
 //! Aggregator. Stream control (watermarks, end-of-stream) crosses the
 //! broker in-band as [`ConnectorMessage`]s, so event time keeps
 //! progressing on the other side.
+//!
+//! Each connector exists once. [`publisher`] and [`TopicSource`] take
+//! either end of an in-process topic (`strata_pubsub::{Producer,
+//! Consumer}`) or of a remote one (`strata_net::{RemoteProducer,
+//! RemoteConsumer}`) and behave the same over both.
 
 use std::time::Duration;
 
-use strata_net::RemoteConsumer;
-use strata_pubsub::{Consumer, Producer, Record};
+use strata_pubsub::{PolledRecord, Record};
 use strata_spe::{Element, Source, SourceContext};
 
 use crate::codec::{self, ConnectorMessage};
 use crate::tuple::AmTuple;
+
+/// The broker-client interface a connector needs, split into the
+/// writer and reader ends of a topic. Private to the crate: only the
+/// in-process and TCP clients implement it.
+mod client {
+    use super::{Duration, PolledRecord, Record};
+
+    /// The publishing end of a connector topic.
+    pub trait TopicWriter: Send + 'static {
+        fn send(&mut self, topic: &str, record: Record) -> Result<(), String>;
+    }
+
+    /// The subscribed end of a connector topic.
+    pub trait TopicReader: std::fmt::Debug + Send + 'static {
+        fn poll(&mut self, timeout: Duration) -> Result<Vec<PolledRecord>, String>;
+        /// Makes the polled positions the group's resume point.
+        fn commit(&mut self) -> Result<(), String>;
+    }
+
+    impl TopicWriter for strata_pubsub::Producer {
+        fn send(&mut self, topic: &str, record: Record) -> Result<(), String> {
+            self.send_record(topic, record)
+                .map(drop)
+                .map_err(|e| e.to_string())
+        }
+    }
+
+    impl TopicWriter for strata_net::RemoteProducer {
+        fn send(&mut self, topic: &str, record: Record) -> Result<(), String> {
+            self.send_record(topic, record)
+                .map(drop)
+                .map_err(|e| e.to_string())
+        }
+    }
+
+    impl TopicReader for strata_pubsub::Consumer {
+        fn poll(&mut self, timeout: Duration) -> Result<Vec<PolledRecord>, String> {
+            strata_pubsub::Consumer::poll(self, timeout).map_err(|e| e.to_string())
+        }
+        fn commit(&mut self) -> Result<(), String> {
+            strata_pubsub::Consumer::commit(self).map_err(|e| e.to_string())
+        }
+    }
+
+    impl TopicReader for strata_net::RemoteConsumer {
+        fn poll(&mut self, timeout: Duration) -> Result<Vec<PolledRecord>, String> {
+            strata_net::RemoteConsumer::poll(self, timeout).map_err(|e| e.to_string())
+        }
+        fn commit(&mut self) -> Result<(), String> {
+            strata_net::RemoteConsumer::commit(self).map_err(|e| e.to_string())
+        }
+    }
+}
+
+use client::{TopicReader, TopicWriter};
 
 /// Flattens a stream element into connector wire messages. The wire
 /// format stays item-level at every engine batch size: a micro-batch
@@ -53,31 +112,18 @@ fn connector_record(message: ConnectorMessage) -> Record {
 }
 
 /// Builds the element-sink callback that republishes a stream into
-/// `topic` of the in-process broker.
+/// `topic` through `producer`: a `strata_pubsub::Producer` or a
+/// `strata_net::RemoteProducer`. The remote producer retries
+/// transient transport failures itself; a send that still fails (or
+/// hits a deleted topic) drops the element, matching "subscriber
+/// gone".
 pub fn publisher(
-    producer: Producer,
-    topic: String,
-) -> impl FnMut(Element<AmTuple>) + Send + 'static {
-    move |element| {
-        // A send can only fail if the topic was deleted mid-run;
-        // dropping the element then matches "subscriber gone".
-        for message in connector_messages(element) {
-            let _ = producer.send_record(&topic, connector_record(message));
-        }
-    }
-}
-
-/// Builds the element-sink callback that republishes a stream into
-/// `topic` of a remote broker over TCP. Transient transport failures
-/// are retried by the producer's reliability layer; elements that
-/// still fail are dropped, like a deleted local topic.
-pub fn remote_publisher(
-    mut producer: strata_net::RemoteProducer,
+    mut producer: impl TopicWriter,
     topic: String,
 ) -> impl FnMut(Element<AmTuple>) + Send + 'static {
     move |element| {
         for message in connector_messages(element) {
-            let _ = producer.send_record(&topic, connector_record(message));
+            let _ = producer.send(&topic, connector_record(message));
         }
     }
 }
@@ -85,26 +131,25 @@ pub fn remote_publisher(
 /// An SPE [`Source`] feeding a downstream module from a connector
 /// topic: decodes tuples, re-emits watermarks, and ends when the
 /// upstream's end-of-stream marker arrives.
+///
+/// The source commits its consumer's offsets after every poll batch
+/// it fully handed to the engine, and again when it ends, is stopped
+/// or loses its downstream, so a restarted module resumes from the
+/// last batch it emitted.
+#[derive(Debug)]
 pub struct TopicSource {
-    consumer: Consumer,
+    consumer: Box<dyn TopicReader>,
     poll_timeout: Duration,
 }
 
-impl std::fmt::Debug for TopicSource {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TopicSource")
-            .field("consumer", &self.consumer)
-            .finish()
-    }
-}
-
 impl TopicSource {
-    /// Wraps a subscribed consumer. Each downstream module uses its
+    /// Wraps a subscribed `strata_pubsub::Consumer` or a connected
+    /// `strata_net::RemoteConsumer`. Each downstream module uses its
     /// own consumer group, so independent pipelines each see the full
     /// stream.
-    pub fn new(consumer: Consumer, poll_timeout: Duration) -> Self {
+    pub fn new(consumer: impl TopicReader, poll_timeout: Duration) -> Self {
         TopicSource {
-            consumer,
+            consumer: Box::new(consumer),
             poll_timeout,
         }
     }
@@ -114,104 +159,33 @@ impl Source for TopicSource {
     type Out = AmTuple;
 
     fn run(&mut self, ctx: &mut SourceContext<AmTuple>) -> Result<(), String> {
-        loop {
-            if ctx.should_stop() {
-                return Ok(());
-            }
+        'poll: while !ctx.should_stop() {
             let records = self
                 .consumer
                 .poll(self.poll_timeout)
                 .map_err(|e| format!("connector poll failed: {e}"))?;
-            for polled in records {
-                match codec::decode(&polled.record.value)
-                    .map_err(|e| format!("connector decode failed: {e}"))?
-                {
-                    ConnectorMessage::Tuple(tuple) => {
-                        if !ctx.emit(tuple) {
-                            return Ok(());
-                        }
-                    }
-                    ConnectorMessage::Watermark(ts) => {
-                        if !ctx.emit_watermark(ts) {
-                            return Ok(());
-                        }
-                    }
-                    ConnectorMessage::End => return Ok(()),
-                }
-            }
-        }
-    }
-}
-
-/// An SPE [`Source`] feeding a downstream module from a connector
-/// topic that lives across a TCP connection. The remote consumer
-/// commits its offsets after every delivered batch, so a restarted
-/// module resumes from the last batch it fully handed to the engine.
-pub struct RemoteTopicSource {
-    consumer: RemoteConsumer,
-    poll_timeout: Duration,
-}
-
-impl std::fmt::Debug for RemoteTopicSource {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RemoteTopicSource")
-            .field("consumer", &self.consumer)
-            .finish()
-    }
-}
-
-impl RemoteTopicSource {
-    /// Wraps a connected remote consumer.
-    pub fn new(consumer: RemoteConsumer, poll_timeout: Duration) -> Self {
-        RemoteTopicSource {
-            consumer,
-            poll_timeout,
-        }
-    }
-}
-
-impl Source for RemoteTopicSource {
-    type Out = AmTuple;
-
-    fn run(&mut self, ctx: &mut SourceContext<AmTuple>) -> Result<(), String> {
-        loop {
-            if ctx.should_stop() {
-                let _ = self.consumer.commit();
-                return Ok(());
-            }
-            let records = self
-                .consumer
-                .poll(self.poll_timeout)
-                .map_err(|e| format!("remote connector poll failed: {e}"))?;
             if records.is_empty() {
                 continue;
             }
             for polled in records {
-                match codec::decode(&polled.record.value)
-                    .map_err(|e| format!("remote connector decode failed: {e}"))?
+                let open = match codec::decode(&polled.record.value)
+                    .map_err(|e| format!("connector decode failed: {e}"))?
                 {
-                    ConnectorMessage::Tuple(tuple) => {
-                        if !ctx.emit(tuple) {
-                            let _ = self.consumer.commit();
-                            return Ok(());
-                        }
-                    }
-                    ConnectorMessage::Watermark(ts) => {
-                        if !ctx.emit_watermark(ts) {
-                            let _ = self.consumer.commit();
-                            return Ok(());
-                        }
-                    }
-                    ConnectorMessage::End => {
-                        let _ = self.consumer.commit();
-                        return Ok(());
-                    }
+                    ConnectorMessage::Tuple(tuple) => ctx.emit(tuple),
+                    ConnectorMessage::Watermark(ts) => ctx.emit_watermark(ts),
+                    ConnectorMessage::End => false,
+                };
+                if !open {
+                    break 'poll;
                 }
             }
             // Batch fully handed to the engine: make it the resume
             // point for a successor or a reconnect.
             let _ = self.consumer.commit();
         }
+        // End of stream, stop, or downstream gone.
+        let _ = self.consumer.commit();
+        Ok(())
     }
 }
 
@@ -221,19 +195,16 @@ mod tests {
     use strata_pubsub::{Broker, TopicConfig};
     use strata_spe::prelude::*;
 
-    #[test]
-    fn stream_control_round_trips_through_a_topic() {
-        let broker = Broker::new();
-        broker.create_topic("bridge", TopicConfig::new(1)).unwrap();
-        let mut publish = publisher(broker.producer(), "bridge".into());
-
+    /// Publishes an item, a watermark and the end marker into
+    /// `bridge` through `producer`, then drains it through a
+    /// [`TopicSource`] on `consumer`.
+    fn round_trip(producer: impl TopicWriter, consumer: impl TopicReader) {
+        let mut publish = publisher(producer, "bridge".into());
         let t = AmTuple::new(Timestamp::from_millis(10), 1, 0);
         publish(Element::Item(t.clone()));
         publish(Element::Watermark(Timestamp::from_millis(11)));
         publish(Element::End);
 
-        // Drive the TopicSource manually through a collect query.
-        let consumer = broker.consumer("g", &["bridge"]).unwrap();
         let mut qb = QueryBuilder::new("sub");
         let src = qb.source("in", TopicSource::new(consumer, Duration::from_millis(10)));
         let out = qb.collect_sink("out", &src);
@@ -241,6 +212,25 @@ mod tests {
         let got = out.take();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].metadata(), t.metadata());
+    }
+
+    #[test]
+    fn stream_control_round_trips_over_both_broker_kinds() {
+        let broker = Broker::new();
+        broker.create_topic("bridge", TopicConfig::new(1)).unwrap();
+        let consumer = broker.consumer("g", &["bridge"]).unwrap();
+        round_trip(broker.producer(), consumer);
+        assert_eq!(broker.consumer_lag("g", "bridge").unwrap(), 0);
+
+        let broker = Broker::new();
+        broker.create_topic("bridge", TopicConfig::new(1)).unwrap();
+        let mut server = strata_net::BrokerServer::bind("127.0.0.1:0", broker.clone()).unwrap();
+        let addr = server.local_addr().to_string();
+        let producer = strata_net::RemoteProducer::connect(&addr).unwrap();
+        let consumer = strata_net::RemoteConsumer::connect(&addr, "g", &["bridge"]).unwrap();
+        round_trip(producer, consumer);
+        assert_eq!(broker.consumer_lag("g", "bridge").unwrap(), 0);
+        server.shutdown();
     }
 
     #[test]
@@ -288,33 +278,5 @@ mod tests {
             qb.build().unwrap().run().join().unwrap();
             assert_eq!(out.len(), 1, "group {group}");
         }
-    }
-
-    #[test]
-    fn remote_bridge_round_trips_over_tcp() {
-        let broker = Broker::new();
-        broker.create_topic("bridge", TopicConfig::new(1)).unwrap();
-        let mut server = strata_net::BrokerServer::bind("127.0.0.1:0", broker).unwrap();
-        let addr = server.local_addr().to_string();
-
-        let producer = strata_net::RemoteProducer::connect(&addr).unwrap();
-        let mut publish = remote_publisher(producer, "bridge".into());
-        let t = AmTuple::new(Timestamp::from_millis(10), 1, 0);
-        publish(Element::Item(t.clone()));
-        publish(Element::Watermark(Timestamp::from_millis(11)));
-        publish(Element::End);
-
-        let consumer = RemoteConsumer::connect(&addr, "g", &["bridge"]).unwrap();
-        let mut qb = QueryBuilder::new("sub");
-        let src = qb.source(
-            "in",
-            RemoteTopicSource::new(consumer, Duration::from_millis(10)),
-        );
-        let out = qb.collect_sink("out", &src);
-        qb.build().unwrap().run().join().unwrap();
-        let got = out.take();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].metadata(), t.metadata());
-        server.shutdown();
     }
 }

@@ -18,20 +18,22 @@
 use std::collections::{BTreeMap, HashMap};
 
 use crossbeam::channel::{unbounded, Receiver};
-use strata_kv::Db;
-use strata_pubsub::{Broker, LogKind, TopicConfig};
+use strata_net::{NetError, RemoteConsumer, RemoteProducer};
+use strata_pubsub::{Broker, LogKind, RetentionPolicy, TopicConfig};
 use strata_spe::operator::UnaryOperator;
 use strata_spe::operators::{FlatMap, RoutePolicy};
-use strata_spe::{QueryBuilder, QueryMetrics, RunningQuery, Source, Stream, Timestamp};
-
-use strata_net::{NetError, RemoteConsumer, RemoteProducer};
-use strata_spe::Element;
+use strata_spe::{
+    Element, IteratorSource, QueryBuilder, QueryMetrics, RunningQuery, Source, Stream, Timestamp,
+};
 
 use crate::config::{ConnectorMode, StrataConfig};
-use crate::connector::{publisher, remote_publisher, RemoteTopicSource, TopicSource};
+use crate::connector::{publisher, TopicSource};
 use crate::error::{Error, Result};
 use crate::report::ExpertReport;
 use crate::tuple::AmTuple;
+
+/// The publishing end of a connector topic, as an element sink.
+type Publish = Box<dyn FnMut(Element<AmTuple>) + Send>;
 
 /// Which architectural module a stream lives in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -199,8 +201,6 @@ pub struct PipelineBuilder {
     topic_prefix: String,
     config: StrataConfig,
     broker: Broker,
-    #[allow(dead_code)] // Reserved for store/get access from compiled operators.
-    kv: Db,
     collector: QueryBuilder,
     monitor: QueryBuilder,
     aggregator: QueryBuilder,
@@ -221,13 +221,7 @@ impl std::fmt::Debug for PipelineBuilder {
 }
 
 impl PipelineBuilder {
-    pub(crate) fn new(
-        name: String,
-        instance: u64,
-        config: StrataConfig,
-        broker: Broker,
-        kv: Db,
-    ) -> Self {
+    pub(crate) fn new(name: String, instance: u64, config: StrataConfig, broker: Broker) -> Self {
         let mut collector = QueryBuilder::new(format!("{name}.collector"));
         let mut monitor = QueryBuilder::new(format!("{name}.monitor"));
         let mut aggregator = QueryBuilder::new(format!("{name}.aggregator"));
@@ -250,7 +244,6 @@ impl PipelineBuilder {
             name,
             config,
             broker,
-            kv,
             collector,
             monitor,
             aggregator,
@@ -305,8 +298,7 @@ impl PipelineBuilder {
 
     /// Publishes `upstream` into a connector topic and subscribes the
     /// target module to it. `from_collector` picks the upstream query
-    /// and retention policy. In [`ConnectorMode::Remote`] the topic
-    /// lives on the broker server and both ends cross the wire.
+    /// and retention policy.
     fn bridge(
         &mut self,
         upstream: Stream<AmTuple>,
@@ -320,29 +312,14 @@ impl PipelineBuilder {
         } else {
             self.config.event_retention_value()
         };
-        let mode = self.config.connector_mode_value();
-
-        // Create the topic where it lives and build the publishing
-        // half of the bridge.
-        let publish: Box<dyn FnMut(Element<AmTuple>) + Send> = match &mode {
-            ConnectorMode::Remote { addr } => match self.remote_producer(addr, &topic) {
-                Ok(producer) => Box::new(remote_publisher(producer, topic.clone())),
-                Err(err) => {
-                    self.errors.push(err);
-                    // Sink to nowhere; deploy fails with the error.
-                    Box::new(|_| {})
-                }
-            },
-            _ => {
-                if let Err(err) = self.broker.create_topic(
-                    &topic,
-                    TopicConfig::new(1)
-                        .with_log(LogKind::Memory)
-                        .with_retention(retention),
-                ) {
-                    self.errors.push(err.into());
-                }
-                Box::new(publisher(self.broker.producer(), topic.clone()))
+        let (publish, source) = match self.open_topic(&topic, retention) {
+            Ok(ends) => ends,
+            Err(err) => {
+                // A placeholder that touches no broker keeps the
+                // builder going; deploy fails with the error.
+                self.errors.push(err);
+                let empty = IteratorSource::new(std::iter::empty());
+                return self.attach_bridge_source(label, target, empty);
             }
         };
         if from_collector {
@@ -355,61 +332,44 @@ impl PipelineBuilder {
             self.monitor_nodes += 1;
             self.monitor_sinks += 1;
         }
+        self.attach_bridge_source(label, target, source)
+    }
 
-        // Subscribe the target module.
-        let group = format!("{}.{label}.sub", self.topic_prefix);
-        match &mode {
+    /// Creates `topic` on the configured broker and opens its two
+    /// ends: the publishing sink and the subscribed source. This is
+    /// the only place that tells an in-process topic from a remote
+    /// one. On a remote broker `TopicExists` is fine: with several
+    /// machine processes sharing one broker server, whoever binds
+    /// first wins. (Remote topics keep the server's retention
+    /// defaults; `retention` only governs in-process topics.)
+    fn open_topic(
+        &self,
+        topic: &str,
+        retention: RetentionPolicy,
+    ) -> Result<(Publish, TopicSource)> {
+        let group = format!("{topic}.sub");
+        let timeout = self.config.poll_timeout_value();
+        match self.config.connector_mode_value() {
             ConnectorMode::Remote { addr } => {
-                match RemoteConsumer::connect(addr.clone(), group, &[&topic]) {
-                    Ok(consumer) => {
-                        let source =
-                            RemoteTopicSource::new(consumer, self.config.poll_timeout_value());
-                        self.attach_bridge_source(label, target, source)
-                    }
-                    Err(err) => {
-                        self.errors.push(err.into());
-                        let source = self.fallback_source(&topic);
-                        self.attach_bridge_source(label, target, source)
-                    }
+                let mut producer = RemoteProducer::connect(addr.clone())?;
+                match producer.client_mut().create_topic(topic, 1) {
+                    Ok(()) | Err(NetError::Broker(strata_pubsub::Error::TopicExists(_))) => {}
+                    Err(err) => return Err(err.into()),
                 }
+                let consumer = RemoteConsumer::connect(addr, group, &[topic])?;
+                let publish = Box::new(publisher(producer, topic.to_string()));
+                Ok((publish, TopicSource::new(consumer, timeout)))
             }
             _ => {
-                let source = match self.broker.consumer(group, &[&topic]) {
-                    Ok(consumer) => TopicSource::new(consumer, self.config.poll_timeout_value()),
-                    Err(err) => {
-                        self.errors.push(err.into());
-                        self.fallback_source(&topic)
-                    }
-                };
-                self.attach_bridge_source(label, target, source)
+                let config = TopicConfig::new(1)
+                    .with_log(LogKind::Memory)
+                    .with_retention(retention);
+                self.broker.create_topic(topic, config)?;
+                let consumer = self.broker.consumer(group, &[topic])?;
+                let publish = Box::new(publisher(self.broker.producer(), topic.to_string()));
+                Ok((publish, TopicSource::new(consumer, timeout)))
             }
         }
-    }
-
-    /// Connects a producer to the remote broker and ensures `topic`
-    /// exists there. `TopicExists` is fine: with several machine
-    /// processes sharing one broker server, whoever binds first wins.
-    /// (Remote topics keep the server's retention defaults — the
-    /// per-pipeline retention config only governs in-process topics.)
-    fn remote_producer(&self, addr: &str, topic: &str) -> Result<RemoteProducer> {
-        let mut producer = RemoteProducer::connect(addr.to_string())?;
-        match producer.client_mut().create_topic(topic, 1) {
-            Ok(()) | Err(NetError::Broker(strata_pubsub::Error::TopicExists(_))) => Ok(producer),
-            Err(err) => Err(err.into()),
-        }
-    }
-
-    /// Placeholder consumer on a fresh local topic so building can
-    /// continue after a connector error; deploy fails with the error
-    /// recorded alongside.
-    fn fallback_source(&mut self, topic: &str) -> TopicSource {
-        let fallback = format!("{topic}.invalid");
-        let _ = self.broker.create_topic(&fallback, TopicConfig::new(1));
-        let consumer = self
-            .broker
-            .consumer(format!("{topic}.invalid.g"), &[&fallback])
-            .expect("fresh fallback topic exists");
-        TopicSource::new(consumer, self.config.poll_timeout_value())
     }
 
     fn attach_bridge_source<S>(&mut self, label: &str, target: Module, source: S) -> Stream<AmTuple>

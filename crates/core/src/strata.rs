@@ -144,7 +144,6 @@ impl Strata {
             instance,
             self.config.clone(),
             self.broker.clone(),
-            self.kv.clone(),
         )
     }
 }

@@ -48,9 +48,9 @@ impl Default for ClientConfig {
     }
 }
 
-/// A single logical connection to a [`BrokerServer`]
-/// (crate::server::BrokerServer): serialized request/response with
-/// reconnect-on-failure underneath.
+/// A single logical connection to a
+/// [`BrokerServer`](crate::server::BrokerServer): serialized
+/// request/response with reconnect-on-failure underneath.
 pub struct BrokerClient {
     addr: String,
     config: ClientConfig,

@@ -3,9 +3,9 @@
 //!
 //! The transport uses the frame format every on-disk log shares
 //! ([`strata_chaos::framed`]: `body_len u32 · body · crc32(body) u32`),
-//! with the body being an encoded [`Request`](crate::protocol::Request)
-//! or [`Response`](crate::protocol::Response) rather than a stored
-//! record. The same CRC-32 routine guards data at rest and in flight.
+//! with the body being an encoded [`Request`] or [`Response`] rather
+//! than a stored record. The same CRC-32 routine guards data at rest
+//! and in flight.
 
 use std::io::{Read, Write};
 

@@ -1,5 +1,5 @@
-//! The request/response protocol spoken between [`BrokerServer`]
-//! (crate::server::BrokerServer) and the remote clients.
+//! The request/response protocol spoken between
+//! [`BrokerServer`](crate::server::BrokerServer) and the remote clients.
 //!
 //! Messages travel inside the CRC frame of [`codec`](crate::codec);
 //! this module defines what the frame bodies mean:

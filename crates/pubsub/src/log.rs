@@ -291,6 +291,9 @@ impl FileLog {
     }
 
     fn roll_segment(&mut self, base_offset: u64) -> Result<()> {
+        if let Some(old) = self.writer.as_mut() {
+            old.sync_pending()?;
+        }
         let path = self.dir.join(Segment::file_name(base_offset));
         self.writer = Some(Appender::open(CHAOS_POINT, &path, self.sync)?);
         self.segments.push(Segment {

@@ -8,6 +8,7 @@ use strata::collector::OtImageCollector;
 use strata::usecase::thermal::{self, ThermalPipelineOptions};
 use strata::{AmTuple, ConnectorMode, Strata, StrataConfig};
 use strata_amsim::{MachineConfig, PbfLbMachine};
+use strata_net::BrokerServer;
 
 fn machine(job: u32) -> Arc<PbfLbMachine> {
     Arc::new(
@@ -176,4 +177,59 @@ fn raw_connector_topics_are_externally_replayable() {
         }
     }
     assert_eq!(tuples, 3, "all published layers are replayable");
+}
+
+/// Runs the thermal pipeline to completion and returns, for every
+/// connector topic, the records its subscriber group left uncommitted.
+/// The topics live on `remote` when given, else on the local broker.
+fn connector_lags(
+    config: StrataConfig,
+    remote: Option<&strata_pubsub::Broker>,
+) -> Vec<(String, u64)> {
+    let strata = Strata::new(config).unwrap();
+    let (running, reports) = thermal::deploy_pipeline(
+        &strata,
+        machine(24),
+        ThermalPipelineOptions {
+            cell_px: 8,
+            depth_l: 5,
+            layers: 0..6,
+            ..ThermalPipelineOptions::default()
+        },
+    )
+    .unwrap();
+    while reports.recv_timeout(Duration::from_secs(60)).is_ok() {}
+    running.join().unwrap();
+    let broker = remote.unwrap_or(strata.broker());
+    broker
+        .topics()
+        .into_iter()
+        .map(|topic| {
+            let lag = broker
+                .consumer_lag(&format!("{topic}.sub"), &topic)
+                .unwrap();
+            (topic, lag)
+        })
+        .collect()
+}
+
+#[test]
+fn connectors_commit_everything_they_emitted_in_every_mode() {
+    let local = connector_lags(StrataConfig::default(), None);
+
+    let remote_broker = strata_pubsub::Broker::new();
+    let mut server = BrokerServer::bind("127.0.0.1:0", remote_broker.clone()).unwrap();
+    let addr = server.local_addr().to_string();
+    let remote = connector_lags(
+        StrataConfig::default().connector_mode(ConnectorMode::Remote { addr }),
+        Some(&remote_broker),
+    );
+    server.shutdown();
+
+    for (mode, lags) in [("in-process", local), ("tcp", remote)] {
+        assert_eq!(lags.len(), 3, "{mode}: raw pp, raw OT and events topics");
+        for (topic, lag) in lags {
+            assert_eq!(lag, 0, "{mode}: group {topic}.sub lags on {topic}");
+        }
+    }
 }

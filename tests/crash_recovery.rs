@@ -225,6 +225,58 @@ fn pubsub_torn_segment_append_recovers_on_reopen() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Under `EveryN` a segment roll must not strand the old segment's
+/// pending appends: after a power loss the log reopens, and at most
+/// `n − 1` acked records are missing, all from the active segment.
+#[test]
+fn pubsub_segment_roll_keeps_acked_appends_across_power_loss() {
+    if !strata_chaos::is_compiled() {
+        return;
+    }
+    const N: u32 = 4;
+    const APPENDS: u64 = 10;
+    let dir = temp_dir("pubsub-roll");
+    let _ = std::fs::remove_dir_all(&dir);
+    let s = Scenario::setup();
+    let value = |i: u64| vec![i as u8; 40];
+    {
+        let mut log = FileLog::open(&dir, 64, PubSync::EveryN(N)).unwrap();
+        for i in 0..APPENDS {
+            assert_eq!(
+                log.append(Record::new(None::<Vec<u8>>, value(i))).unwrap(),
+                i
+            );
+        }
+    }
+    let mut segments: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "seg"))
+        .collect();
+    segments.sort();
+    assert_eq!(segments.len() as u64, APPENDS, "one record per segment");
+    for path in &segments {
+        simulate_crash(path).unwrap(); // Power loss.
+    }
+
+    let mut log =
+        FileLog::open(&dir, 64, PubSync::EveryN(N)).expect("log reopens after power loss");
+    let active_base = APPENDS - 1;
+    let end = log.end_offset();
+    assert!(
+        end >= active_base && APPENDS - end < N as u64,
+        "{end} of {APPENDS} acked records survived"
+    );
+    let records = log.read_from(0, usize::MAX).unwrap();
+    assert_eq!(records.len() as u64, end);
+    for (i, stored) in records.iter().enumerate() {
+        assert_eq!(stored.record.value.as_ref(), value(i as u64).as_slice());
+    }
+    drop(log);
+    drop(s);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// A failed fsync on the committed-offset store must fail the commit
 /// (not silently ack it), and a subsequent power loss must leave
 /// exactly the acknowledged commits behind.

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use strata::collector::OtImageCollector;
-use strata::{AmTuple, Error, Strata, StrataConfig};
+use strata::{AmTuple, ConnectorMode, Error, Strata, StrataConfig};
 use strata_amsim::{MachineConfig, PbfLbMachine};
 use strata_spe::{Source, SourceContext};
 
@@ -163,5 +163,33 @@ fn deleting_a_connector_topic_fails_the_subscriber() {
             Err(Error::Spe(strata_spe::Error::SourceFailed { .. })) | Ok(_)
         ),
         "unexpected outcome: {result:?}"
+    );
+}
+
+#[test]
+fn unreachable_remote_broker_fails_deploy_without_local_topics() {
+    // A port that was just free: nothing listens there.
+    let addr = std::net::TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap()
+        .to_string();
+    let strata =
+        Strata::new(StrataConfig::default().connector_mode(ConnectorMode::Remote { addr }))
+            .unwrap();
+    let mut pipeline = strata.pipeline("unreachable");
+    let ot = pipeline.add_source("ot", OtImageCollector::new(machine()));
+    let events = pipeline.detect_event("all", &ot, |t: &AmTuple| Some(vec![t.clone()]));
+    let correlated = pipeline.correlate_events("count", &events, 1, |_| Vec::new());
+    let _rx = pipeline.deliver("expert", &correlated);
+    let result = pipeline.deploy();
+    assert!(
+        matches!(result, Err(Error::Net(_))),
+        "unexpected outcome: {result:?}"
+    );
+    assert_eq!(
+        strata.broker().topics(),
+        Vec::<String>::new(),
+        "a failed remote build must leave the local broker untouched"
     );
 }
