@@ -38,6 +38,17 @@ impl OtImage {
         }
     }
 
+    /// Wraps a row-major pixel buffer; `None` unless it holds exactly
+    /// `width × height` pixels.
+    pub fn from_pixels(width: u32, height: u32, pixels: Vec<u8>) -> Option<Self> {
+        let len = (width as usize).checked_mul(height as usize)?;
+        (pixels.len() == len).then_some(OtImage {
+            width,
+            height,
+            pixels,
+        })
+    }
+
     /// Image width in pixels.
     pub fn width(&self) -> u32 {
         self.width
@@ -106,7 +117,22 @@ impl OtImage {
         let y1 = (y + h).min(self.height);
         let cw = x1.saturating_sub(x);
         let ch = y1.saturating_sub(y);
-        OtImage::from_fn(cw, ch, |cx, cy| self.get(x + cx, y + cy))
+        let mut pixels = Vec::with_capacity(cw as usize * ch as usize);
+        if cw > 0 {
+            for row in self
+                .pixels
+                .chunks_exact(self.width as usize)
+                .take(y1 as usize)
+                .skip(y as usize)
+            {
+                pixels.extend_from_slice(&row[x as usize..x1 as usize]);
+            }
+        }
+        OtImage {
+            width: cw,
+            height: ch,
+            pixels,
+        }
     }
 
     /// Writes the image as a binary PGM (P5) file — the format used
@@ -192,6 +218,37 @@ mod tests {
         assert_eq!(cropped.get(1, 1), 7);
         let clipped = img.crop(5, 5, 10, 10);
         assert_eq!((clipped.width(), clipped.height()), (1, 1));
+    }
+
+    #[test]
+    fn crop_matches_per_pixel_copy() {
+        let img = OtImage::from_fn(7, 5, |x, y| (x * 31 + y * 7) as u8);
+        for (x, y, w, h) in [
+            (0, 0, 7, 5),
+            (1, 2, 3, 2),
+            (6, 4, 3, 3),
+            (7, 0, 1, 5),
+            (0, 5, 2, 1),
+            (9, 9, 1, 1),
+        ] {
+            let got = img.crop(x, y, w, h);
+            let cw = (x + w).min(7).saturating_sub(x);
+            let ch = (y + h).min(5).saturating_sub(y);
+            let want = OtImage::from_fn(cw, ch, |cx, cy| img.get(x + cx, y + cy));
+            assert_eq!(got, want, "crop({x}, {y}, {w}, {h})");
+        }
+    }
+
+    #[test]
+    fn from_pixels_checks_the_length() {
+        let img = OtImage::from_pixels(3, 2, vec![0, 1, 2, 10, 11, 12]).unwrap();
+        assert_eq!(img, OtImage::from_fn(3, 2, |x, y| (y * 10 + x) as u8));
+        assert_eq!(OtImage::from_pixels(3, 2, vec![0; 5]), None);
+        assert_eq!(OtImage::from_pixels(3, 2, vec![0; 7]), None);
+        assert_eq!(
+            OtImage::from_pixels(0, 4, Vec::new()).unwrap().byte_len(),
+            0
+        );
     }
 
     #[test]

@@ -1,13 +1,17 @@
 //! Criterion end-to-end pipeline benchmarks: per-layer cost of the
-//! Algorithm-1 pipeline at two cell sizes, and the connector-mode
+//! Algorithm-1 pipeline at two cell sizes, the connector-mode
 //! ablation (pub/sub hop vs direct channels vs a TCP broker server)
-//! from DESIGN.md.
+//! from DESIGN.md, and the cell stages of one dense layer on their own.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use strata::collector::{OtImageCollector, PrintingParameterCollector};
 use strata::usecase::thermal::{self, ThermalPipelineOptions};
-use strata::{ConnectorMode, Strata, StrataConfig};
+use strata::{AmTuple, ConnectorMode, Strata, StrataConfig};
+use strata_amsim::scan::ScanSchedule;
+use strata_amsim::ThermalModel;
+use strata_bench::workload::bench_machine_scheduled;
 use strata_bench::{bench_machine, BenchScale};
 
 const LAYERS: u32 = 6;
@@ -110,10 +114,54 @@ fn bench_batching(c: &mut Criterion) {
     group.finish();
 }
 
+/// The cell stages of one `deep_dense`-style layer, single-threaded:
+/// a 1000×1000 px dense-defect OT image split into its specimens and
+/// then into cells of 8 paper px (4 px on this frame), about 15 000
+/// cell tuples. `isolate_cell` builds the cells, `label_cell` reads
+/// them, and `drop_cells` frees them, each timed apart.
+fn bench_thermal_cells(c: &mut Criterion) {
+    const SAMPLES: usize = 10;
+    let scale = BenchScale::Reduced;
+    let machine = bench_machine_scheduled(11, scale, 30.0, ScanSchedule::new(90.0, 0.0));
+    let layer = 60;
+    let mut fused = OtImageCollector::layer_tuple(&machine, layer);
+    fused
+        .payload_mut()
+        .merge(PrintingParameterCollector::layer_tuple(&machine, layer).payload());
+    let specimens = thermal::isolate_specimen(machine.plan().plate_mm())(&fused);
+    let strata = Strata::new(StrataConfig::default()).unwrap();
+    thermal::seed_thresholds(
+        &strata,
+        thermal::reference_thresholds(&ThermalModel::default()),
+    )
+    .unwrap();
+    let mut isolate = thermal::isolate_cell(&strata, scale.cell_px(8));
+    let mut isolate_all =
+        move || -> Vec<AmTuple> { specimens.iter().flat_map(&mut isolate).collect() };
+    let cells = isolate_all();
+
+    let mut group = c.benchmark_group("thermal_cells");
+    group.sample_size(SAMPLES);
+    group.throughput(Throughput::Elements(cells.len() as u64));
+    // Built cells are kept, so that their drop stays out of the timing.
+    let mut kept = Vec::with_capacity(SAMPLES + 1);
+    group.bench_function("isolate_cell", |b| b.iter(|| kept.push(isolate_all())));
+    let mut label = thermal::label_cell(&strata);
+    group.bench_function("label_cell", |b| {
+        b.iter(|| cells.iter().filter_map(&mut label).count())
+    });
+    while kept.len() <= SAMPLES {
+        kept.push(isolate_all());
+    }
+    group.bench_function("drop_cells", |b| b.iter(|| drop(kept.pop())));
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_end_to_end,
     bench_connector_overhead,
-    bench_batching
+    bench_batching,
+    bench_thermal_cells
 );
 criterion_main!(benches);

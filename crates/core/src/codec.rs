@@ -177,13 +177,11 @@ fn decode_value(r: &mut Reader<'_>) -> Result<Value> {
         5 => {
             let w = r.u32()?;
             let h = r.u32()?;
-            let pixels = r.take(w as usize * h as usize)?;
-            let mut image = OtImage::new(w, h);
-            for y in 0..h {
-                for x in 0..w {
-                    image.set(x, y, pixels[y as usize * w as usize + x as usize]);
-                }
-            }
+            let len = (w as usize)
+                .checked_mul(h as usize)
+                .ok_or_else(|| Error::Codec(format!("image {w}x{h} overflows")))?;
+            let image = OtImage::from_pixels(w, h, r.take(len)?.to_vec())
+                .expect("pixel count checked above");
             Value::Image(Arc::new(image))
         }
         6 => {
@@ -261,15 +259,17 @@ pub fn decode(data: &[u8]) -> Result<ConnectorMessage> {
             };
             let ingest_ns = r.u64()?;
             let count = r.u16()?;
-            let mut payload = Payload::new();
-            for _ in 0..count {
-                let key_len = r.u16()? as usize;
-                let key = std::str::from_utf8(r.take(key_len)?)
-                    .map_err(|_| Error::Codec("payload key is not utf-8".into()))?
-                    .to_string();
-                let value = decode_value(&mut r)?;
-                payload.set(key, value);
-            }
+            // Keys may arrive in any order and repeat; collecting sorts
+            // once (the last repeat wins, as with `Payload::set`).
+            let payload = (0..count)
+                .map(|_| {
+                    let key_len = r.u16()? as usize;
+                    let key = std::str::from_utf8(r.take(key_len)?)
+                        .map_err(|_| Error::Codec("payload key is not utf-8".into()))?
+                        .to_string();
+                    Ok((key, decode_value(&mut r)?))
+                })
+                .collect::<Result<Payload>>()?;
             Ok(ConnectorMessage::Tuple(AmTuple::from_parts(
                 Metadata {
                     timestamp,

@@ -238,7 +238,10 @@ impl std::fmt::Debug for OfferedRateSource {
 impl OfferedRateSource {
     /// Replays `tuples` at `rate_per_s` tuples per second (0 = as
     /// fast as possible), emitting after each tuple a watermark of
-    /// `tuple.τ + watermark_offset_ms`.
+    /// `tuple.τ + watermark_offset_ms`. Tuple `k`'s ingest instant is
+    /// its scheduled one, `k / rate_per_s` after the replay starts,
+    /// even when backpressure delays its injection; at rate 0 it is
+    /// the injection instant.
     pub fn new(tuples: Vec<AmTuple>, rate_per_s: f64, watermark_offset_ms: u64) -> Self {
         OfferedRateSource {
             tuples,
@@ -253,6 +256,7 @@ impl Source for OfferedRateSource {
 
     fn run(&mut self, ctx: &mut SourceContext<AmTuple>) -> Result<(), String> {
         let started = Instant::now();
+        let started_ns = crate::tuple::ingest_clock_ns();
         let interval = if self.rate_per_s > 0.0 {
             Some(std::time::Duration::from_secs_f64(1.0 / self.rate_per_s))
         } else {
@@ -262,17 +266,23 @@ impl Source for OfferedRateSource {
             if ctx.should_stop() {
                 break;
             }
-            if let Some(interval) = interval {
-                let due = interval * k as u32;
-                let elapsed = started.elapsed();
-                if due > elapsed {
-                    std::thread::sleep(due - elapsed);
-                }
-            }
             // Re-stamp ingestion: the offered tuple becomes "available
-            // to the system" the moment it is injected.
+            // to the system" at its scheduled instant, so a stalled
+            // pipeline that delays the injection is charged for it. As
+            // fast as possible, it becomes available when injected.
+            let ingest_ns = match interval {
+                Some(interval) => {
+                    let due = interval * k as u32;
+                    let elapsed = started.elapsed();
+                    if due > elapsed {
+                        std::thread::sleep(due - elapsed);
+                    }
+                    started_ns + due.as_nanos() as u64
+                }
+                None => crate::tuple::ingest_clock_ns(),
+            };
             let mut tuple = tuple;
-            tuple.metadata_mut().ingest_ns = crate::tuple::ingest_clock_ns();
+            tuple.metadata_mut().ingest_ns = ingest_ns;
             let boundary = tuple
                 .metadata()
                 .timestamp
@@ -355,6 +365,50 @@ mod tests {
         let got = run_to_vec(OfferedRateSource::new(tuples, 100.0, 10));
         assert_eq!(got.len(), 5);
         assert!(started.elapsed() >= std::time::Duration::from_millis(35));
+    }
+
+    #[test]
+    fn offered_rate_latency_counts_a_stalled_pipeline() {
+        // A held first tuple fills the one-slot channel and blocks the
+        // source; the tuples it injects late must still be charged
+        // from their scheduled instants.
+        const N: u32 = 6;
+        let interval = std::time::Duration::from_millis(10);
+        let tuples: Vec<AmTuple> = (0..N)
+            .map(|k| AmTuple::new(Timestamp::from_millis(k as u64 * 10), 1, k))
+            .collect();
+        let (arrived_tx, arrived_rx) = crossbeam::channel::bounded(1);
+        let (release_tx, release_rx) = crossbeam::channel::bounded::<()>(1);
+        let mut qb = QueryBuilder::new("stall");
+        qb.channel_capacity(1);
+        let s = qb.source("src", OfferedRateSource::new(tuples, 100.0, 1));
+        let held = qb.map("hold", &s, move |mut t: AmTuple| {
+            if t.metadata().layer == 0 {
+                arrived_tx.send(Instant::now()).unwrap();
+                release_rx.recv().unwrap();
+            }
+            let latency = t.latency().as_nanos() as i64;
+            t.payload_mut().set_int("latency_ns", latency);
+            t
+        });
+        let out = qb.collect_sink("out", &held);
+        let running = qb.build().unwrap().run();
+        // The source started no later than the first tuple arrived.
+        let last_due = arrived_rx.recv().unwrap() + interval * (N - 1);
+        while Instant::now() < last_due + std::time::Duration::from_millis(50) {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let released = Instant::now();
+        release_tx.send(()).unwrap();
+        running.join().unwrap();
+        let got = out.take();
+        assert_eq!(got.len(), N as usize);
+        let latency = got[N as usize - 1].payload().int("latency_ns").unwrap() as u128;
+        let wait = released.duration_since(last_due).as_nanos();
+        assert!(
+            latency >= wait,
+            "last latency {latency} ns misses the {wait} ns stall"
+        );
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! `job` and `layer` are set by every source; `specimen` and
 //! `portion` appear downstream of the `partition` method.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -51,9 +52,22 @@ pub enum Value {
 }
 
 /// The key-value payload of a tuple.
-#[derive(Debug, Clone, PartialEq, Default)]
+///
+/// Entries live in one vector kept sorted by key, with no duplicate
+/// keys. Keys are [`Cow<'static, str>`]: the literal keys operators
+/// use cost no allocation, and owned `String` keys (decoded from the
+/// wire, built at run time) still work. The entries of a payload with
+/// literal keys are therefore one heap block, freed at once by
+/// whichever thread drops it.
+#[derive(Clone, PartialEq, Default)]
 pub struct Payload {
-    entries: BTreeMap<String, Value>,
+    entries: Vec<(Cow<'static, str>, Value)>,
+}
+
+impl std::fmt::Debug for Payload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
 }
 
 impl Payload {
@@ -72,51 +86,83 @@ impl Payload {
         self.entries.is_empty()
     }
 
-    /// The raw value under `key`.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        self.entries.get(key)
+    /// Where `key` is (`Ok`) or would be inserted (`Err`). Tuples
+    /// carry a handful of keys, where a front-to-back scan that stops
+    /// at the first key not below `key` beats a binary search's
+    /// mispredicted branches; an insert shifts the tail anyway.
+    fn position(&self, key: &str) -> std::result::Result<usize, usize> {
+        for (i, (k, _)) in self.entries.iter().enumerate() {
+            match k.as_ref().cmp(key) {
+                Ordering::Less => {}
+                Ordering::Equal => return Ok(i),
+                Ordering::Greater => return Err(i),
+            }
+        }
+        Err(self.entries.len())
     }
 
-    /// Sets `key` to an arbitrary [`Value`].
-    pub fn set(&mut self, key: impl Into<String>, value: Value) -> &mut Self {
-        self.entries.insert(key.into(), value);
+    /// The raw value under `key`.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.position(key).ok().map(|i| &self.entries[i].1)
+    }
+
+    /// Sets `key` to an arbitrary [`Value`], replacing any earlier
+    /// value under the same key.
+    pub fn set(&mut self, key: impl Into<Cow<'static, str>>, value: Value) -> &mut Self {
+        let key = key.into();
+        match self.position(&key) {
+            Ok(i) => self.entries[i].1 = value,
+            Err(i) => self.entries.insert(i, (key, value)),
+        }
         self
     }
 
     /// Sets an integer.
-    pub fn set_int(&mut self, key: impl Into<String>, value: i64) -> &mut Self {
+    pub fn set_int(&mut self, key: impl Into<Cow<'static, str>>, value: i64) -> &mut Self {
         self.set(key, Value::Int(value))
     }
 
     /// Sets a float.
-    pub fn set_float(&mut self, key: impl Into<String>, value: f64) -> &mut Self {
+    pub fn set_float(&mut self, key: impl Into<Cow<'static, str>>, value: f64) -> &mut Self {
         self.set(key, Value::Float(value))
     }
 
     /// Sets a boolean.
-    pub fn set_bool(&mut self, key: impl Into<String>, value: bool) -> &mut Self {
+    pub fn set_bool(&mut self, key: impl Into<Cow<'static, str>>, value: bool) -> &mut Self {
         self.set(key, Value::Bool(value))
     }
 
     /// Sets a string.
-    pub fn set_str(&mut self, key: impl Into<String>, value: impl AsRef<str>) -> &mut Self {
+    pub fn set_str(
+        &mut self,
+        key: impl Into<Cow<'static, str>>,
+        value: impl AsRef<str>,
+    ) -> &mut Self {
         self.set(key, Value::Str(Arc::from(value.as_ref())))
     }
 
     /// Sets an image (shared, not copied).
-    pub fn set_image(&mut self, key: impl Into<String>, image: Arc<OtImage>) -> &mut Self {
+    pub fn set_image(
+        &mut self,
+        key: impl Into<Cow<'static, str>>,
+        image: Arc<OtImage>,
+    ) -> &mut Self {
         self.set(key, Value::Image(image))
     }
 
     /// Sets a rectangle list.
-    pub fn set_rects(&mut self, key: impl Into<String>, rects: Arc<RectList>) -> &mut Self {
+    pub fn set_rects(
+        &mut self,
+        key: impl Into<Cow<'static, str>>,
+        rects: Arc<RectList>,
+    ) -> &mut Self {
         self.set(key, Value::Rects(rects))
     }
 
     /// Sets a point list.
     pub fn set_points(
         &mut self,
-        key: impl Into<String>,
+        key: impl Into<Cow<'static, str>>,
         points: Arc<Vec<(f64, f64)>>,
     ) -> &mut Self {
         self.set(key, Value::Points(points))
@@ -181,7 +227,7 @@ impl Payload {
 
     /// Iterates entries in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), v))
+        self.entries.iter().map(|(k, v)| (k.as_ref(), v))
     }
 
     /// Absorbs all entries of `other` (the `fuse` method's payload
@@ -189,8 +235,24 @@ impl Payload {
     /// tuples, so collisions simply keep the later value).
     pub fn merge(&mut self, other: &Payload) {
         for (k, v) in &other.entries {
-            self.entries.insert(k.clone(), v.clone());
+            self.set(k.clone(), v.clone());
         }
+    }
+}
+
+/// Builds a payload from entries in any order; a later entry under a
+/// repeated key wins, as with [`Payload::set`]. One stable sort, so
+/// O(n log n) for any order.
+impl<K: Into<Cow<'static, str>>> FromIterator<(K, Value)> for Payload {
+    fn from_iter<I: IntoIterator<Item = (K, Value)>>(iter: I) -> Self {
+        let mut entries: Vec<(Cow<'static, str>, Value)> =
+            iter.into_iter().map(|(k, v)| (k.into(), v)).collect();
+        // Reversed, the stable sort puts the last of equal keys first,
+        // and `dedup_by` keeps the first of each run.
+        entries.reverse();
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        entries.dedup_by(|a, b| a.0 == b.0);
+        Payload { entries }
     }
 }
 
